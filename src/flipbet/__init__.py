@@ -44,7 +44,6 @@ from .report import (
 from .significance import (
     MonteCarloEstimate,
     RandomizationResult,
-    SignificanceQuery,
     binomial_pmf,
     derive_seed,
     losing_probability,
@@ -69,7 +68,6 @@ __all__ = [
     "GameTrace",
     "MonteCarloEstimate",
     "RandomizationResult",
-    "SignificanceQuery",
     "ValidationError",
     "analyze",
     "binomial_pmf",

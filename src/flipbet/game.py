@@ -17,6 +17,10 @@ Conventions, fixed once and used everywhere:
   never affects resolution.
 * Flip outcomes are drawn from one seeded generator per simulation, in
   flip-time order, so identical inputs reproduce identical traces.
+
+:class:`GameTrace` is the one place that checks a trace and applies the
+flip-first rule: one search for each bet's governing flip both resolves the
+bets and builds the trace's epoch table, which every analysis reads.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import groupby
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, ValidationError
 
@@ -36,6 +42,7 @@ __all__ = [
     "Bet",
     "GameConfig",
     "GameTrace",
+    "EpochGrouping",
     "coin_state_at",
     "simulate_game",
     "make_trace",
@@ -102,9 +109,9 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        if not (isinstance(self.horizon, (int, float)) and math.isfinite(self.horizon)) or self.horizon <= 0:
+        if not (_is_number(self.horizon) and math.isfinite(self.horizon)) or self.horizon <= 0:
             problems.append(f"horizon must be a finite positive number, got {self.horizon!r}")
-        if not (isinstance(self.coin_bias, (int, float)) and 0.0 <= self.coin_bias <= 1.0):
+        if not (_is_number(self.coin_bias) and 0.0 <= self.coin_bias <= 1.0):
             problems.append(f"coin_bias must lie in [0, 1], got {self.coin_bias!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (0 <= self.seed <= _MAX_SEED):
             problems.append(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
@@ -112,12 +119,17 @@ class GameConfig:
             raise ValidationError(problems)
 
 
+def _is_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _schedule_problems(
     horizon: float,
     flip_times: Sequence[float],
-    bet_times: Sequence[float],
+    bets: Sequence[Bet],
+    outcomes: Sequence[Face] = (),
 ) -> list[str]:
-    """Collect every violation of the flip/bet schedule invariants."""
+    """Collect every violation of the schedule and face invariants."""
     problems: list[str] = []
     if not flip_times:
         problems.append("flip schedule is empty: the game must open with a flip at time 0")
@@ -135,29 +147,80 @@ def _schedule_problems(
                     f"flip times must be strictly increasing: "
                     f"flip[{i - 1}]={flip_times[i - 1]!r} >= flip[{i}]={flip_times[i]!r}"
                 )
-    for i, t in enumerate(bet_times):
+    for i, o in enumerate(outcomes):
+        if not isinstance(o, Face):
+            problems.append(f"flip[{i}] outcome is not a Face: {o!r}")
+    for i, bet in enumerate(bets):
+        t = bet.time
         if not (isinstance(t, (int, float)) and math.isfinite(t)):
             problems.append(f"bet[{i}] time is not a finite number: {t!r}")
         elif not (0.0 <= t <= horizon):
             problems.append(f"bet[{i}] time {t!r} outside [0, {horizon}]")
-    for i in range(1, len(bet_times)):
-        if bet_times[i - 1] > bet_times[i]:
+        if not isinstance(bet.prediction, Face):
+            problems.append(f"bet[{i}] prediction is not a Face: {bet.prediction!r}")
+    for i in range(1, len(bets)):
+        if bets[i - 1].time > bets[i].time:
             problems.append(
                 f"bet times must be non-decreasing: "
-                f"bet[{i - 1}]={bet_times[i - 1]!r} > bet[{i}]={bet_times[i]!r}"
+                f"bet[{i - 1}]={bets[i - 1].time!r} > bet[{i}]={bets[i].time!r}"
             )
     return problems
 
 
-def _state_at(flip_times: Sequence[float], outcomes: Sequence[Face], t: float) -> Face:
-    """Face shown at time t: the latest flip with time <= t (flip-first)."""
-    return outcomes[bisect_right(flip_times, t) - 1]
+@dataclass(frozen=True)
+class EpochGrouping:
+    """Assignment of each bet to the flip (epoch) governing it.
+
+    Every :class:`GameTrace` builds this table once, at construction;
+    :func:`flipbet.probability.group_by_epoch` returns it.
+
+    Attributes:
+        bets: The grouped bets, in trace order.
+        epoch_of_bet: For bet index i, the index of the governing flip:
+            the largest flip index whose time is <= the bet's time
+            (flip-first at shared timestamps).
+        bets_per_epoch: Flip index -> indices of the bets it governs.
+            Only occupied epochs appear as keys, in increasing order.
+        faces: Flip index -> the face every bet of that epoch predicts,
+            or None when they disagree. Same keys as ``bets_per_epoch``.
+    """
+
+    bets: tuple[Bet, ...]
+    epoch_of_bet: tuple[int, ...]
+    bets_per_epoch: Mapping[int, tuple[int, ...]]
+    faces: Mapping[int, Face | None]
+
+    @property
+    def occupied_epochs(self) -> tuple[int, ...]:
+        """Flip indices with at least one bet, in increasing order."""
+        return tuple(self.bets_per_epoch)
+
+    def epoch_of(self, bet: Bet) -> int:
+        """Epoch index of a bet belonging to this grouping.
+
+        Raises:
+            DomainError: If the bet is not one of the grouped bets.
+        """
+        try:
+            return self.epoch_of_bet[self.bets.index(bet)]
+        except ValueError:
+            raise DomainError(f"{bet!r} does not belong to this grouping") from None
 
 
-def _resolve(flips: Sequence[Flip], bets: Sequence[Bet]) -> tuple[bool, ...]:
-    times = [f.time for f in flips]
-    outcomes = [f.outcome for f in flips]
-    return tuple(b.prediction is _state_at(times, outcomes, b.time) for b in bets)
+def _epoch_table(bets: tuple[Bet, ...], epoch_of_bet: tuple[int, ...]) -> EpochGrouping:
+    # Bet times never decrease, so each epoch's bets form one contiguous run.
+    predictions = [b.prediction for b in bets]
+    bets_per_epoch: dict[int, tuple[int, ...]] = {}
+    faces: dict[int, Face | None] = {}
+    start = 0
+    for epoch, run in groupby(epoch_of_bet):
+        stop = start + len(tuple(run))
+        bets_per_epoch[epoch] = tuple(range(start, stop))
+        distinct = set(predictions[start:stop])
+        faces[epoch] = distinct.pop() if len(distinct) == 1 else None
+        start = stop
+    # Read-only views: the table is cached on the trace and shared by every caller.
+    return EpochGrouping(bets, epoch_of_bet, MappingProxyType(bets_per_epoch), MappingProxyType(faces))
 
 
 @dataclass(frozen=True)
@@ -169,33 +232,46 @@ class GameTrace:
     * ``flips`` is non-empty, starts at time 0, and has strictly
       increasing times inside ``[0, horizon]``.
     * ``bets`` have non-decreasing times inside ``[0, horizon]``.
+    * Every flip outcome and bet prediction is a :class:`Face`.
     * ``resolutions[i]`` is True exactly when ``bets[i]`` predicted the
       coin's state at its time (flip-first at shared timestamps).
+
+    ``resolutions`` are derived when omitted and checked when given. The
+    same governing-flip search builds the epoch table that
+    :func:`flipbet.probability.group_by_epoch` returns.
     """
 
     config: GameConfig
     flips: tuple[Flip, ...]
     bets: tuple[Bet, ...] = field(default=())
-    resolutions: tuple[bool, ...] = field(default=())
+    resolutions: tuple[bool, ...] | None = None
+    _epochs: EpochGrouping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "flips", tuple(self.flips))
-        object.__setattr__(self, "bets", tuple(self.bets))
-        object.__setattr__(self, "resolutions", tuple(self.resolutions))
+        flips = tuple(self.flips)
+        bets = tuple(self.bets)
+        flip_times = [f.time for f in flips]
         problems = _schedule_problems(
-            self.config.horizon,
-            [f.time for f in self.flips],
-            [b.time for b in self.bets],
+            self.config.horizon, flip_times, bets, [f.outcome for f in flips]
         )
-        if not problems:
-            if len(self.resolutions) != len(self.bets):
-                problems.append(
-                    f"expected {len(self.bets)} resolutions, got {len(self.resolutions)}"
-                )
-            elif self.resolutions != _resolve(self.flips, self.bets):
-                problems.append("resolutions do not match bet predictions against the flip record")
         if problems:
             raise ValidationError(problems)
+        epoch_of_bet = tuple(bisect_right(flip_times, b.time) - 1 for b in bets)
+        resolutions = tuple(
+            b.prediction is flips[e].outcome for b, e in zip(bets, epoch_of_bet)
+        )
+        if self.resolutions is not None:
+            given = tuple(self.resolutions)
+            if len(given) != len(bets):
+                raise ValidationError(f"expected {len(bets)} resolutions, got {len(given)}")
+            if given != resolutions:
+                raise ValidationError(
+                    "resolutions do not match bet predictions against the flip record"
+                )
+        object.__setattr__(self, "flips", flips)
+        object.__setattr__(self, "bets", bets)
+        object.__setattr__(self, "resolutions", resolutions)
+        object.__setattr__(self, "_epochs", _epoch_table(bets, epoch_of_bet))
 
     @property
     def wins(self) -> int:
@@ -216,11 +292,7 @@ def coin_state_at(trace: GameTrace, t: float) -> Face:
 
     Raises:
         DomainError: If ``t`` lies outside the game window.
-        ValidationError: If the trace has no flips (cannot happen for
-            traces built by this module).
     """
-    if not trace.flips:
-        raise ValidationError("trace has no flips; coin state is undefined")
     if not (isinstance(t, (int, float)) and 0.0 <= t <= trace.config.horizon):
         raise DomainError(f"time {t!r} outside the game window [0, {trace.config.horizon}]")
     times = [f.time for f in trace.flips]
@@ -250,10 +322,12 @@ def simulate_game(
 
     Raises:
         ValidationError: Listing every schedule violation (unordered or
-            duplicate flip times, missing time-0 flip, out-of-range times).
+            duplicate flip times, missing time-0 flip, out-of-range times,
+            predictions that are not a :class:`Face`).
     """
     bets = tuple(bet_plan)
-    problems = _schedule_problems(config.horizon, flip_times, [b.time for b in bets])
+    # Checked before the draw, so a bad schedule fails before any randomness is used.
+    problems = _schedule_problems(config.horizon, flip_times, bets)
     if problems:
         raise ValidationError(problems)
     rng = random.Random(config.seed)
@@ -261,7 +335,7 @@ def simulate_game(
         Flip(float(t), Face.HEADS if rng.random() < config.coin_bias else Face.TAILS)
         for t in flip_times
     )
-    return GameTrace(config=config, flips=flips, bets=bets, resolutions=_resolve(flips, bets))
+    return GameTrace(config=config, flips=flips, bets=bets)
 
 
 def make_trace(
@@ -275,13 +349,6 @@ def make_trace(
     exactly as in :func:`simulate_game`.
 
     Raises:
-        ValidationError: Same schedule checks as :func:`simulate_game`.
+        ValidationError: Every violation of the :class:`GameTrace` invariants.
     """
-    flips = tuple(flips)
-    bets = tuple(bet_plan)
-    problems = _schedule_problems(
-        config.horizon, [f.time for f in flips], [b.time for b in bets]
-    )
-    if problems:
-        raise ValidationError(problems)
-    return GameTrace(config=config, flips=flips, bets=bets, resolutions=_resolve(flips, bets))
+    return GameTrace(config=config, flips=tuple(flips), bets=tuple(bet_plan))

@@ -9,20 +9,21 @@ Two rival estimates of the probability of a betting record:
   contributes a single factor (the flipper's view).
 
 The bridge between the two is the epoch grouping: each bet is governed by
-the latest flip at or before its time, and the span from one flip to the
-next is an *epoch*. All bets in an epoch face the same coin state, so the
-number of occupied epochs, not the number of bets, is the number of
-independent events in the record.
+the latest flip at or before its time (flip-first), and the span from one
+flip to the next is an *epoch*. All bets in an epoch face the same coin
+state, so the number of occupied epochs, not the number of bets, is the
+number of independent events in the record.
+
+The grouping is not computed here. Each :class:`~flipbet.game.GameTrace`
+builds its epoch table once, at construction, where the flip-first rule
+lives; :func:`group_by_epoch` returns that table and every function below
+reads it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Mapping
-
 from .errors import DomainError
-from .game import Bet, Face, GameTrace
+from .game import Bet, EpochGrouping, Face, GameTrace
 
 __all__ = [
     "EpochGrouping",
@@ -34,52 +35,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EpochGrouping:
-    """Assignment of each bet to the flip (epoch) governing it.
-
-    Attributes:
-        bets: The grouped bets, in trace order.
-        epoch_of_bet: For bet index i, the index of the governing flip:
-            the largest flip index whose time is <= the bet's time
-            (flip-first at shared timestamps).
-        bets_per_epoch: Flip index -> indices of the bets it governs.
-            Only occupied epochs appear as keys.
-    """
-
-    bets: tuple[Bet, ...]
-    epoch_of_bet: tuple[int, ...]
-    bets_per_epoch: Mapping[int, tuple[int, ...]]
-
-    @property
-    def occupied_epochs(self) -> tuple[int, ...]:
-        """Flip indices with at least one bet, in increasing order."""
-        return tuple(sorted(self.bets_per_epoch))
-
-    def epoch_of(self, bet: Bet) -> int:
-        """Epoch index of a bet belonging to this grouping.
-
-        Raises:
-            DomainError: If the bet is not one of the grouped bets.
-        """
-        try:
-            return self.epoch_of_bet[self.bets.index(bet)]
-        except ValueError:
-            raise DomainError(f"{bet!r} does not belong to this grouping") from None
-
-
 def group_by_epoch(trace: GameTrace) -> EpochGrouping:
-    """Group the trace's bets by the flip governing each of them."""
-    flip_times = [f.time for f in trace.flips]
-    epoch_of_bet = tuple(bisect_right(flip_times, b.time) - 1 for b in trace.bets)
-    per_epoch: dict[int, list[int]] = {}
-    for i, e in enumerate(epoch_of_bet):
-        per_epoch.setdefault(e, []).append(i)
-    return EpochGrouping(
-        bets=trace.bets,
-        epoch_of_bet=epoch_of_bet,
-        bets_per_epoch={e: tuple(ix) for e, ix in sorted(per_epoch.items())},
-    )
+    """The trace's epoch table: its bets grouped by the flip governing each.
+
+    The table is built once, when the trace is constructed; every call
+    returns that same object.
+    """
+    return trace._epochs
 
 
 def pairwise_conditional_probability(
@@ -114,11 +76,11 @@ def pairwise_conditional_probability(
     epoch_j = grouping.epoch_of(bet_j)
     if epoch_i == epoch_j:
         return 1.0 if bet_i.prediction is bet_j.prediction else 0.0
-    return _marginal(bet_j, coin_bias)
+    return _marginal(bet_j.prediction, coin_bias)
 
 
-def _marginal(bet: Bet, coin_bias: float) -> float:
-    return coin_bias if bet.prediction is Face.HEADS else 1.0 - coin_bias
+def _marginal(face: Face, coin_bias: float) -> float:
+    return coin_bias if face is Face.HEADS else 1.0 - coin_bias
 
 
 def naive_compound_probability(trace: GameTrace) -> float:
@@ -130,7 +92,7 @@ def naive_compound_probability(trace: GameTrace) -> float:
     """
     p = 1.0
     for bet in trace.bets:
-        p *= _marginal(bet, trace.config.coin_bias)
+        p *= _marginal(bet.prediction, trace.config.coin_bias)
     return p
 
 
@@ -144,14 +106,13 @@ def true_compound_probability(trace: GameTrace) -> float:
     sharing an epoch are fully dependent and add no factor beyond the
     first.
     """
-    grouping = group_by_epoch(trace)
+    faces = group_by_epoch(trace).faces.values()
+    if None in faces:
+        return 0.0
     bias = trace.config.coin_bias
     p = 1.0
-    for indices in grouping.bets_per_epoch.values():
-        predictions = {trace.bets[i].prediction for i in indices}
-        if len(predictions) > 1:
-            return 0.0
-        p *= _marginal(trace.bets[indices[0]], bias)
+    for face in faces:
+        p *= _marginal(face, bias)
     return p
 
 

@@ -159,20 +159,17 @@ def load_bets(path: str | Path) -> list[Bet]:
 def analyze(trace: GameTrace, options: AnalysisOptions | None = None) -> AnalysisReport:
     """Full dependence-aware analysis of one betting record.
 
-    Groups bets into epochs, computes both compound probabilities, and
-    scores reproducibility-by-chance twice: once pretending every bet is
-    an independent event and once over effective events only. An occupied
-    epoch counts as an effective win only if its bets are unanimous and
-    correct. With ``options.randomization_trials`` set, each bet also gets
-    a randomization test over its default interval.
+    Reads the trace's epoch table, computes both compound probabilities,
+    and scores reproducibility-by-chance twice: once pretending every bet
+    is an independent event and once over effective events only. An
+    occupied epoch counts as an effective win only if its bets are
+    unanimous and correct. With ``options.randomization_trials`` set, each
+    bet also gets a randomization test over its default interval.
     """
     options = options or AnalysisOptions()
-    grouping = group_by_epoch(trace)
-    effective_wins = 0
-    for indices in grouping.bets_per_epoch.values():
-        predictions = {trace.bets[i].prediction for i in indices}
-        if len(predictions) == 1 and trace.resolutions[indices[0]]:
-            effective_wins += 1
+    faces = group_by_epoch(trace).faces
+    effective_events = effective_event_count(trace)
+    effective_wins = sum(face is trace.flips[e].outcome for e, face in faces.items())
     randomization = None
     if options.randomization_trials is not None:
         randomization = tuple(
@@ -187,15 +184,13 @@ def analyze(trace: GameTrace, options: AnalysisOptions | None = None) -> Analysi
     return AnalysisReport(
         bet_count=len(trace.bets),
         flip_count=len(trace.flips),
-        effective_events=effective_event_count(trace),
+        effective_events=effective_events,
         wins=trace.wins,
         effective_wins=effective_wins,
         naive_compound=_sig12(naive_compound_probability(trace)),
         true_compound=_sig12(true_compound_probability(trace)),
         naive_pvalue=_sig12(random_reproduction_pvalue(trace.wins, len(trace.bets))),
-        corrected_pvalue=_sig12(
-            random_reproduction_pvalue(effective_wins, effective_event_count(trace))
-        ),
+        corrected_pvalue=_sig12(random_reproduction_pvalue(effective_wins, effective_events)),
         randomization=randomization,
     )
 
@@ -231,25 +226,31 @@ def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
 
     The change fraction is rebuilt from the integer counts, so a
     serialized report parses back to exactly the report it came from.
+
+    Raises:
+        ValidationError: If a field is missing or has the wrong type.
     """
-    randomization = None
-    if data.get("randomization") is not None:
-        randomization = tuple(
-            RandomizationResult.from_counts(r["trials"], r["changed"])
-            for r in data["randomization"]
+    try:
+        randomization = None
+        if data.get("randomization") is not None:
+            randomization = tuple(
+                RandomizationResult.from_counts(r["trials"], r["changed"])
+                for r in data["randomization"]
+            )
+        return AnalysisReport(
+            bet_count=data["bet_count"],
+            flip_count=data["flip_count"],
+            effective_events=data["effective_events"],
+            wins=data["wins"],
+            effective_wins=data["effective_wins"],
+            naive_compound=data["naive_compound"],
+            true_compound=data["true_compound"],
+            naive_pvalue=data["naive_pvalue"],
+            corrected_pvalue=data["corrected_pvalue"],
+            randomization=randomization,
         )
-    return AnalysisReport(
-        bet_count=data["bet_count"],
-        flip_count=data["flip_count"],
-        effective_events=data["effective_events"],
-        wins=data["wins"],
-        effective_wins=data["effective_wins"],
-        naive_compound=data["naive_compound"],
-        true_compound=data["true_compound"],
-        naive_pvalue=data["naive_pvalue"],
-        corrected_pvalue=data["corrected_pvalue"],
-        randomization=randomization,
-    )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed report document: {exc}") from exc
 
 
 def report_to_json(report: AnalysisReport, *, indent: int | None = 2) -> str:

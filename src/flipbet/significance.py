@@ -31,7 +31,6 @@ from .errors import DomainError, ValidationError
 from .game import Bet, Face, GameConfig, GameTrace, _schedule_problems, coin_state_at
 
 __all__ = [
-    "SignificanceQuery",
     "RandomizationResult",
     "MonteCarloEstimate",
     "binomial_pmf",
@@ -75,38 +74,6 @@ def _check_probability(p: float, name: str = "p") -> float:
     if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
         raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
     return float(p)
-
-
-@dataclass(frozen=True)
-class SignificanceQuery:
-    """A binomial-tail question: n trials, success probability p, observed k.
-
-    Attributes:
-        n: Number of trials (positive).
-        p: Per-trial success probability.
-        k: Observed success count, used by p-value style tails.
-    """
-
-    n: int
-    p: float
-    k: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n!r}")
-        _check_probability(self.p)
-        if not (0 <= self.k <= self.n):
-            raise DomainError(f"k must lie in [0, n], got k={self.k!r}, n={self.n!r}")
-
-    def losing_probability(self) -> float:
-        """See :func:`losing_probability`."""
-        return losing_probability(self.n, self.p)
-
-    def upper_tail_pvalue(self) -> float:
-        """P(at least k successes in n trials at probability p)."""
-        if self.k == 0:
-            return 1.0
-        return _binomial_tail(self.k, self.n, self.n, self.p)
 
 
 @dataclass(frozen=True)
@@ -296,7 +263,7 @@ def randomization_test(
     Raises:
         DomainError: On a bad index, interval, or trial count.
     """
-    if not 0 <= bet_index < len(trace.bets):
+    if isinstance(bet_index, bool) or not 0 <= bet_index < len(trace.bets):
         raise DomainError(f"bet_index {bet_index!r} outside [0, {len(trace.bets) - 1}]")
     trials = operator.index(trials)
     if trials < 1:
@@ -359,7 +326,7 @@ def monte_carlo_compound(
         raise DomainError(f"base_seed must be a 64-bit unsigned integer, got {base_seed!r}")
     bets = tuple(bet_plan)
     times = [float(t) for t in flip_times]
-    problems = _schedule_problems(config.horizon, times, [b.time for b in bets])
+    problems = _schedule_problems(config.horizon, times, bets)
     if problems:
         raise ValidationError(problems)
 
@@ -367,7 +334,9 @@ def monte_carlo_compound(
         return MonteCarloEstimate(trials, trials, 1.0, 0.0)
 
     # One required face per occupied epoch; a conflicting epoch makes the
-    # joint win impossible in every trial.
+    # joint win impossible in every trial. Derived here on purpose rather
+    # than read from a trace's epoch table: this estimate is the independent
+    # cross-check that tests compare the analytic probabilities against.
     required: dict[int, Face] = {}
     for b in bets:
         epoch = bisect_right(times, b.time) - 1

@@ -3,15 +3,89 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import flipbet
 from flipbet.cli import main
 
 PARADOX_FLIPS = "0.0,H\n"
 PARADOX_BETS = "0.3,H\n0.7,H\n"
+
+# Epoch 0 holds a conflicting pair, a bet sits exactly on the flip at 2,
+# the epoch opened at 4 is empty, and the last bet, after the last flip, loses.
+PINNED_FLIPS = "time,outcome\n0,H\n2,T\n4,H\n6,T\n8,H\n"
+PINNED_BETS = "0.5,H\n1.5,T\n2,T\n3,T\n6.5,T\n7,T\n9,T\n"
+PINNED_JSON = """\
+{
+  "bet_count": 7,
+  "flip_count": 5,
+  "effective_events": 4,
+  "wins": 5,
+  "effective_wins": 2,
+  "naive_compound": 0.0078125,
+  "true_compound": 0.0,
+  "naive_pvalue": 0.2265625,
+  "corrected_pvalue": 0.6875,
+  "randomization": [
+    {
+      "trials": 50,
+      "changed": 0,
+      "change_fraction": 0.0
+    },
+    {
+      "trials": 50,
+      "changed": 0,
+      "change_fraction": 0.0
+    },
+    {
+      "trials": 50,
+      "changed": 50,
+      "change_fraction": 1.0
+    },
+    {
+      "trials": 50,
+      "changed": 0,
+      "change_fraction": 0.0
+    },
+    {
+      "trials": 50,
+      "changed": 28,
+      "change_fraction": 0.56
+    },
+    {
+      "trials": 50,
+      "changed": 0,
+      "change_fraction": 0.0
+    },
+    {
+      "trials": 50,
+      "changed": 23,
+      "change_fraction": 0.46
+    }
+  ]
+}
+"""
+PINNED_TEXT = """\
+bets: 7 (wins: 5)
+flips: 5
+effective events: 4 (effective wins: 2)
+naive compound probability: 0.0078125
+true compound probability: 0
+naive p-value: 0.2265625
+corrected p-value: 0.6875
+bet 0: outcome changed in 0 of 50 re-placements (fraction 0)
+bet 1: outcome changed in 0 of 50 re-placements (fraction 0)
+bet 2: outcome changed in 50 of 50 re-placements (fraction 1)
+bet 3: outcome changed in 0 of 50 re-placements (fraction 0)
+bet 4: outcome changed in 28 of 50 re-placements (fraction 0.56)
+bet 5: outcome changed in 0 of 50 re-placements (fraction 0)
+bet 6: outcome changed in 23 of 50 re-placements (fraction 0.46)
+"""
 
 
 @pytest.fixture
@@ -128,6 +202,17 @@ class TestAnalyze:
         assert code == 2
         assert "duplicate flip time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt,expected", [("json", PINNED_JSON), ("text", PINNED_TEXT)])
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, fmt, expected):
+        flips = tmp_path / "flips.csv"
+        bets = tmp_path / "bets.csv"
+        flips.write_text(PINNED_FLIPS)
+        bets.write_text(PINNED_BETS)
+        argv = ["analyze", "--flips", str(flips), "--bets", str(bets),
+                "--randomize", "50", "--seed", "3", "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestSignificance:
     @pytest.mark.parametrize(
@@ -176,10 +261,15 @@ class TestDemo:
 
 
 def test_module_entrypoint_runs():
+    # The child must import the same package as this test, also when the
+    # suite found it through pytest's pythonpath rather than the environment.
+    package_root = str(Path(flipbet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "flipbet", "significance", "--n", "50", "--p", "0.6"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.0573437605422"

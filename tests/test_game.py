@@ -59,6 +59,11 @@ class TestGameConfig:
         with pytest.raises(ValidationError):
             GameConfig(horizon=1.0, coin_bias=-0.1)
 
+    def test_rejects_bool_numbers(self):
+        with pytest.raises(ValidationError) as err:
+            GameConfig(horizon=True, coin_bias=False)
+        assert len(err.value.problems) == 2
+
     def test_rejects_bad_seed(self):
         with pytest.raises(ValidationError):
             GameConfig(horizon=1.0, seed=-1)
@@ -131,6 +136,25 @@ class TestMakeTrace:
             make_trace(
                 GameConfig(horizon=1.0), [Flip(0.0, H)], [Bet(0.7, H), Bet(0.3, H)]
             )
+
+    def test_string_faces_rejected_all_at_once(self):
+        with pytest.raises(ValidationError) as err:
+            make_trace(
+                GameConfig(horizon=1.0),
+                [Flip(0.0, H), Flip(0.4, "T")],
+                [Bet(0.5, "H"), Bet(0.6, T)],
+            )
+        assert err.value.problems == (
+            "flip[1] outcome is not a Face: 'T'",
+            "bet[0] prediction is not a Face: 'H'",
+        )
+
+    def test_resolutions_derived_when_omitted(self, paradox_trace):
+        trace = GameTrace(
+            config=paradox_trace.config, flips=paradox_trace.flips, bets=paradox_trace.bets
+        )
+        assert trace.resolutions == (True, True)
+        assert trace == paradox_trace
 
     def test_trace_invariants_enforced_on_construction(self):
         with pytest.raises(ValidationError, match="resolutions"):

@@ -50,6 +50,28 @@ class TestGroupByEpoch:
         grouping = group_by_epoch(trace_of([(0.0, H), (0.5, T)], [(0.5, T)]))
         assert grouping.epoch_of_bet == (1,)
 
+    def test_faces_per_occupied_epoch(self):
+        trace = trace_of(
+            [(0.0, H), (0.2, T), (0.4, H), (0.6, T)],
+            [(0.1, H), (0.15, T), (0.3, T), (0.35, T), (0.7, H)],
+        )
+        grouping = group_by_epoch(trace)
+        assert grouping.bets_per_epoch == {0: (0, 1), 1: (2, 3), 3: (4,)}
+        assert grouping.faces == {0: None, 1: T, 3: H}
+        assert grouping.occupied_epochs == (0, 1, 3)
+
+    def test_table_is_built_once_per_trace_and_read_only(self, paradox_trace):
+        grouping = group_by_epoch(paradox_trace)
+        assert group_by_epoch(paradox_trace) is grouping
+        with pytest.raises(TypeError):
+            grouping.faces[0] = None
+
+    def test_grouping_type_importable_from_every_layer(self):
+        import flipbet
+        from flipbet import game, probability
+
+        assert flipbet.EpochGrouping is probability.EpochGrouping is game.EpochGrouping
+
     @given(traces())
     def test_epoch_assignment_invariants(self, trace):
         grouping = group_by_epoch(trace)

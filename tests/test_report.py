@@ -19,6 +19,7 @@ from flipbet import (
     load_bets,
     load_flips,
     make_trace,
+    report_from_dict,
     report_from_json,
     report_to_dict,
     report_to_json,
@@ -187,6 +188,38 @@ class TestAnalyze:
             assert report.naive_compound == report.true_compound
 
 
+def _scan_epochs(trace):
+    """Reference for the epoch table by plain linear scans, sharing no code
+    with the package: governing flip index -> predictions, in flip order."""
+    epochs: dict[int, list[Face]] = {}
+    for bet in trace.bets:
+        governing = 0
+        for k, flip in enumerate(trace.flips):
+            if flip.time <= bet.time:
+                governing = k
+        epochs.setdefault(governing, []).append(bet.prediction)
+    return epochs
+
+
+@given(traces(max_flips=6, max_bets=8))
+def test_analyze_matches_linear_scan(trace):
+    epochs = _scan_epochs(trace)
+    bias = trace.config.coin_bias
+    wins = 0
+    compound = 1.0
+    for k, predictions in epochs.items():
+        if len(set(predictions)) > 1:
+            compound = 0.0
+            continue
+        face = predictions[0]
+        wins += face is trace.flips[k].outcome
+        compound *= bias if face is H else 1.0 - bias
+    report = analyze(trace)
+    assert report.effective_events == len(epochs)
+    assert report.effective_wins == wins
+    assert report.true_compound == float(f"{compound:.12g}")
+
+
 class TestRoundTrips:
     def test_report_json_round_trip(self, paradox_trace):
         report = analyze(paradox_trace, AnalysisOptions(randomization_trials=100, seed=2))
@@ -204,6 +237,11 @@ class TestRoundTrips:
     def test_malformed_trace_document_rejected(self):
         with pytest.raises(ValidationError, match="malformed"):
             trace_from_dict({"config": {}})
+
+    @pytest.mark.parametrize("doc", [{}, {"randomization": 5}])
+    def test_malformed_report_document_rejected(self, doc):
+        with pytest.raises(ValidationError, match="malformed report document"):
+            report_from_dict(doc)
 
     def test_report_numbers_stay_within_12_significant_digits(self):
         trace = make_trace(

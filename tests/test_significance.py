@@ -17,7 +17,6 @@ from flipbet import (
     GameConfig,
     MonteCarloEstimate,
     RandomizationResult,
-    SignificanceQuery,
     ValidationError,
     binomial_pmf,
     derive_seed,
@@ -172,22 +171,6 @@ class TestRandomReproductionPvalue:
         assert random_reproduction_pvalue(k, m) == pytest.approx(float(exact), abs=1e-12)
 
 
-class TestSignificanceQuery:
-    def test_validates_fields(self):
-        with pytest.raises(DomainError):
-            SignificanceQuery(n=0, p=0.5)
-        with pytest.raises(DomainError):
-            SignificanceQuery(n=10, p=1.5)
-        with pytest.raises(DomainError):
-            SignificanceQuery(n=10, p=0.5, k=11)
-
-    def test_delegates_to_tail_functions(self):
-        q = SignificanceQuery(n=10, p=0.6, k=8)
-        assert q.losing_probability() == losing_probability(10, 0.6)
-        exact = upper_tail_exact(8, 10, Fraction(3, 5))
-        assert q.upper_tail_pvalue() == pytest.approx(float(exact), abs=1e-12)
-
-
 class TestRandomizationTest:
     def test_paradox_second_bet_never_changes(self, paradox_trace):
         result = randomization_test(paradox_trace, 1, interval=(0.3, 0.7), trials=1000, seed=0)
@@ -235,6 +218,10 @@ class TestRandomizationTest:
             randomization_test(paradox_trace, 1, interval=(0.0, 2.0))
         with pytest.raises(DomainError):
             randomization_test(paradox_trace, 1, trials=0)
+
+    def test_bool_index_rejected(self, paradox_trace):
+        with pytest.raises(DomainError):
+            randomization_test(paradox_trace, True)
 
     @given(st.data())
     @settings(max_examples=200)
@@ -306,6 +293,20 @@ class TestMonteCarloCompound:
             monte_carlo_compound(GameConfig(horizon=1.0), [0.5], [], trials=10, base_seed=0)
         with pytest.raises(DomainError):
             monte_carlo_compound(GameConfig(horizon=1.0), [0.0], [], trials=0, base_seed=0)
+
+    def test_string_predictions_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            monte_carlo_compound(
+                GameConfig(horizon=1.0, coin_bias=1.0),
+                [0.0],
+                [Bet(0.5, "H"), Bet(0.6, H), Bet(0.7, "T")],
+                trials=100,
+                base_seed=1,
+            )
+        assert err.value.problems == (
+            "bet[0] prediction is not a Face: 'H'",
+            "bet[2] prediction is not a Face: 'T'",
+        )
 
     def test_agrees_with_replayed_simulations(self):
         # dual route: the vectorized kernel vs literal seeded game replays
