@@ -15,24 +15,27 @@ Conventions, fixed once and used everywhere:
   all t in the window.
 * Bets may share a timestamp; their relative order is the input order and
   never affects resolution.
-* Flip outcomes are drawn from one seeded generator per simulation, in
-  flip-time order, so identical inputs reproduce identical traces.
+* Every seeded draw comes from one Philox stream keyed by its seed. Flip
+  outcomes are drawn in flip-time order, so identical inputs reproduce
+  identical traces.
 
 :class:`GameTrace` is the one place that checks a trace and applies the
 flip-first rule: one search for each bet's governing flip both resolves the
-bets and builds the trace's epoch table, which every analysis reads.
+bets and builds the trace's epoch table, which every analysis reads, and
+keeps the flip times and faces as read-only numpy columns.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ValidationError
 
@@ -49,6 +52,11 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64 - 1
+
+
+def _generator(key: int) -> np.random.Generator:
+    """The package's one random source: the counter-based Philox stream keyed by ``key``."""
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class Face(enum.Enum):
@@ -246,6 +254,8 @@ class GameTrace:
     bets: tuple[Bet, ...] = field(default=())
     resolutions: tuple[bool, ...] | None = None
     _epochs: EpochGrouping = field(init=False, repr=False, compare=False)
+    _flip_times: np.ndarray = field(init=False, repr=False, compare=False)
+    _flip_heads: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         flips = tuple(self.flips)
@@ -272,11 +282,20 @@ class GameTrace:
         object.__setattr__(self, "bets", bets)
         object.__setattr__(self, "resolutions", resolutions)
         object.__setattr__(self, "_epochs", _epoch_table(bets, epoch_of_bet))
+        object.__setattr__(self, "_flip_times", _column(flip_times, float))
+        heads = [f.outcome is Face.HEADS for f in flips]
+        object.__setattr__(self, "_flip_heads", _column(heads, bool))
 
     @property
     def wins(self) -> int:
         """Number of winning bets."""
         return sum(self.resolutions)
+
+
+def _column(values: list, dtype: type) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 def coin_state_at(trace: GameTrace, t: float) -> Face:
@@ -295,8 +314,7 @@ def coin_state_at(trace: GameTrace, t: float) -> Face:
     """
     if not (isinstance(t, (int, float)) and 0.0 <= t <= trace.config.horizon):
         raise DomainError(f"time {t!r} outside the game window [0, {trace.config.horizon}]")
-    times = [f.time for f in trace.flips]
-    return trace.flips[bisect_right(times, t) - 1].outcome
+    return trace.flips[np.searchsorted(trace._flip_times, t, "right") - 1].outcome
 
 
 def simulate_game(
@@ -306,8 +324,8 @@ def simulate_game(
 ) -> GameTrace:
     """Play one game: draw flip outcomes at the given times, resolve bets.
 
-    Each flip lands heads with probability ``config.coin_bias``, drawn from
-    a generator seeded with ``config.seed``; draws are consumed in
+    Flip i lands heads when the i-th value of the Philox stream keyed by
+    ``config.seed`` is below ``config.coin_bias``; draws are consumed in
     flip-time order. The same ``(config, flip_times, bet_plan)`` therefore
     always yields an identical trace.
 
@@ -330,10 +348,9 @@ def simulate_game(
     problems = _schedule_problems(config.horizon, flip_times, bets)
     if problems:
         raise ValidationError(problems)
-    rng = random.Random(config.seed)
+    heads = _generator(config.seed).random(len(flip_times)) < config.coin_bias
     flips = tuple(
-        Flip(float(t), Face.HEADS if rng.random() < config.coin_bias else Face.TAILS)
-        for t in flip_times
+        Flip(float(t), Face.HEADS if h else Face.TAILS) for t, h in zip(flip_times, heads.tolist())
     )
     return GameTrace(config=config, flips=flips, bets=bets)
 

@@ -234,7 +234,7 @@ def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
         randomization = None
         if data.get("randomization") is not None:
             randomization = tuple(
-                RandomizationResult.from_counts(r["trials"], r["changed"])
+                RandomizationResult(trials=r["trials"], changed=r["changed"])
                 for r in data["randomization"]
             )
         return AnalysisReport(

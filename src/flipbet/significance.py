@@ -10,7 +10,9 @@ Three complementary instruments:
 * the bet-time randomization test: re-place one bet uniformly at random in
   an interval and measure how often its outcome changes. If no flip falls
   in the interval, the outcome never changes, which shows the bet carried
-  no forecasting information of its own.
+  no forecasting information of its own. Each re-placement resolves
+  flip-first, like every bet, and the draws of one test come from the
+  Philox stream keyed by its seed, an integer in ``[0, 2**64 - 1]``.
 
 A vectorized Monte Carlo driver doubles as the independent oracle for the
 analytic compound probabilities.
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .game import Bet, Face, GameConfig, GameTrace, _schedule_problems, coin_state_at
+from .game import Bet, Face, GameConfig, GameTrace, _generator, _is_number, _schedule_problems
 
 __all__ = [
     "RandomizationResult",
@@ -51,6 +52,10 @@ _LOG_MIN_NORMAL = math.log(2.2250738585072014e-308) + 1.0
 
 _MASK64 = 2**64 - 1
 
+# Monte Carlo rows simulated per vectorized batch. The estimate does not
+# depend on it: trial i always consumes the i-th block of the stream.
+_CHUNK_TRIALS = 1 << 16
+
 
 def derive_seed(base_seed: int, index: int) -> int:
     """Deterministic per-stream seed for parallel or indexed runs.
@@ -59,7 +64,7 @@ def derive_seed(base_seed: int, index: int) -> int:
     distinct indices are statistically independent, and the mapping never
     depends on evaluation order, so serial and parallel runs agree.
     """
-    z = (operator.index(base_seed) ^ _mix64(operator.index(index))) & _MASK64
+    z = (_integer(base_seed, "base_seed", None) ^ _mix64(_integer(index, "index", None))) & _MASK64
     return _mix64(z)
 
 
@@ -70,22 +75,36 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _integer(value: object, name: str, lo: int | None = 0, hi: int | None = None) -> int:
+    """``value`` as an int in ``[lo, hi]`` (``None``: unbounded), else DomainError.
+
+    A bool is rejected although it is an int: ``True`` as a count or a
+    seed is a caller's mistake, not the number 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            index = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if (lo is None or lo <= index) and (hi is None or index <= hi):
+                return index
+    bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise DomainError(f"{name} must be an integer{bounds}, got {value!r}")
+
+
 def _check_probability(p: float, name: str = "p") -> float:
-    if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
+    if not (_is_number(p) and 0.0 <= p <= 1.0):
         raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
     return float(p)
 
 
 @dataclass(frozen=True)
 class RandomizationResult:
-    """Outcome counts of a bet-time randomization test.
-
-    ``change_fraction`` is exactly ``changed / trials``.
-    """
+    """Outcome counts of a bet-time randomization test."""
 
     trials: int
     changed: int
-    change_fraction: float
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -95,9 +114,10 @@ class RandomizationResult:
                 f"changed must lie in [0, trials], got changed={self.changed!r}, trials={self.trials!r}"
             )
 
-    @classmethod
-    def from_counts(cls, trials: int, changed: int) -> "RandomizationResult":
-        return cls(trials=trials, changed=changed, change_fraction=changed / trials)
+    @property
+    def change_fraction(self) -> float:
+        """Share of re-placements that changed the outcome: ``changed / trials``."""
+        return self.changed / self.trials
 
 
 @dataclass(frozen=True)
@@ -125,13 +145,9 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
     Raises:
         DomainError: If k is outside [0, n] or p outside [0, 1].
     """
-    k = operator.index(k)
-    n = operator.index(n)
+    n = _integer(n, "n")
+    k = _integer(k, "k", 0, n)
     p = _check_probability(p)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n!r}")
-    if not (0 <= k <= n):
-        raise DomainError(f"k must lie in [0, n], got k={k!r}, n={n!r}")
     if p == 0.0:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
@@ -203,9 +219,7 @@ def losing_probability(n: int, p: float) -> float:
     Raises:
         DomainError: If n < 1 or p outside [0, 1].
     """
-    n = operator.index(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
+    n = _integer(n, "n", 1)
     p = _check_probability(p)
     return _binomial_tail(0, (n + 1) // 2 - 1, n, p)
 
@@ -222,14 +236,8 @@ def random_reproduction_pvalue(k_wins: int, m_effective: int) -> float:
     Raises:
         DomainError: If k_wins is negative or exceeds m_effective.
     """
-    k_wins = operator.index(k_wins)
-    m_effective = operator.index(m_effective)
-    if m_effective < 0:
-        raise DomainError(f"m_effective must be >= 0, got {m_effective!r}")
-    if not (0 <= k_wins <= m_effective):
-        raise DomainError(
-            f"k_wins must lie in [0, m_effective], got k_wins={k_wins!r}, m_effective={m_effective!r}"
-        )
+    m_effective = _integer(m_effective, "m_effective")
+    k_wins = _integer(k_wins, "k_wins", 0, m_effective)
     if k_wins == 0:
         return 1.0
     return _binomial_tail(k_wins, m_effective, m_effective, 0.5)
@@ -246,9 +254,12 @@ def randomization_test(
 
     Each trial draws a new time in ``interval``, re-resolves the chosen
     bet (same prediction) against the fixed flip record, and compares its
-    win/loss outcome with the original. A change fraction of zero means
-    the bet's outcome is invariant under where it sits in the interval;
-    in particular it is exactly zero whenever no flip time falls strictly
+    win/loss outcome with the original. All ``trials`` times are one
+    ``uniform(lo, hi, trials)`` draw from the Philox stream keyed by
+    ``seed``, and each resolves flip-first: a time equal to a flip's time
+    falls in that flip's epoch. A change fraction of zero means the bet's
+    outcome is invariant under where it sits in the interval; in
+    particular it is exactly zero whenever no flip time falls strictly
     inside the interval up to the original bet time.
 
     Args:
@@ -258,35 +269,33 @@ def randomization_test(
             span from the preceding bet's time (or 0 for the first bet) to
             the chosen bet's time.
         trials: Number of random re-placements.
-        seed: Seed for the re-placement draws.
+        seed: Key of the re-placement stream, in ``[0, 2**64 - 1]``.
 
     Raises:
-        DomainError: On a bad index, interval, or trial count.
+        DomainError: On a bad index, interval, trial count or seed.
     """
-    if isinstance(bet_index, bool) or not 0 <= bet_index < len(trace.bets):
-        raise DomainError(f"bet_index {bet_index!r} outside [0, {len(trace.bets) - 1}]")
-    trials = operator.index(trials)
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials!r}")
-    bet = trace.bets[bet_index]
+    bet_index = _integer(bet_index, "bet_index", 0, len(trace.bets) - 1)
+    trials = _integer(trials, "trials", 1)
+    seed = _integer(seed, "seed", 0, _MASK64)
     if interval is None:
         lo = trace.bets[bet_index - 1].time if bet_index > 0 else 0.0
-        hi = bet.time
+        hi = trace.bets[bet_index].time
     else:
-        lo, hi = interval
-    if not (0.0 <= lo <= hi <= trace.config.horizon):
+        try:
+            lo, hi = interval
+        except (TypeError, ValueError):
+            raise DomainError(f"interval must be a (lo, hi) pair, got {interval!r}") from None
+    if not (_is_number(lo) and _is_number(hi) and 0.0 <= lo <= hi <= trace.config.horizon):
         raise DomainError(
             f"interval ({lo!r}, {hi!r}) must satisfy 0 <= lo <= hi <= horizon"
         )
-    original = trace.resolutions[bet_index]
-    rng = random.Random(seed)
-    changed = 0
-    for _ in range(trials):
-        t = rng.uniform(lo, hi)
-        outcome = bet.prediction is coin_state_at(trace, t)
-        if outcome != original:
-            changed += 1
-    return RandomizationResult.from_counts(trials, changed)
+    draws = _generator(seed).uniform(lo, hi, trials)
+    epochs = np.searchsorted(trace._flip_times, draws, "right") - 1
+    # Same prediction, so the outcome changes exactly where the coin shows
+    # another face than in the bet's own epoch.
+    own_face = trace._flip_heads[trace._epochs.epoch_of_bet[bet_index]]
+    changed = int(np.count_nonzero(trace._flip_heads[epochs] != own_face))
+    return RandomizationResult(trials=trials, changed=changed)
 
 
 def monte_carlo_compound(
@@ -295,8 +304,6 @@ def monte_carlo_compound(
     bet_plan: Iterable[Bet],
     trials: int,
     base_seed: int,
-    *,
-    chunk_trials: int = 1 << 16,
 ) -> MonteCarloEstimate:
     """Estimate the probability that every bet wins, by repeated play.
 
@@ -311,19 +318,14 @@ def monte_carlo_compound(
         flip_times: Same schedule contract as :func:`~flipbet.game.simulate_game`.
         bet_plan: Bets to resolve in every simulated game.
         trials: Number of simulated games (>= 1).
-        base_seed: Key of the random stream.
-        chunk_trials: Rows simulated per vectorized batch.
+        base_seed: Key of the random stream, in ``[0, 2**64 - 1]``.
 
     Raises:
-        DomainError: If ``trials`` < 1.
+        DomainError: If ``trials`` < 1 or ``base_seed`` is out of range.
         ValidationError: Same schedule checks as the simulator.
     """
-    trials = operator.index(trials)
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials!r}")
-    base_seed = operator.index(base_seed)
-    if not 0 <= base_seed <= _MASK64:
-        raise DomainError(f"base_seed must be a 64-bit unsigned integer, got {base_seed!r}")
+    trials = _integer(trials, "trials", 1)
+    base_seed = _integer(base_seed, "base_seed", 0, _MASK64)
     bets = tuple(bet_plan)
     times = [float(t) for t in flip_times]
     problems = _schedule_problems(config.horizon, times, bets)
@@ -346,12 +348,12 @@ def monte_carlo_compound(
 
     epoch_idx = np.fromiter(required, dtype=np.intp)
     need_heads = np.array([required[e] is Face.HEADS for e in required], dtype=bool)
-    rng = np.random.Generator(np.random.Philox(key=base_seed))
+    rng = _generator(base_seed)
     n_flips = len(times)
     wins = 0
     remaining = trials
     while remaining > 0:
-        m = min(chunk_trials, remaining)
+        m = min(_CHUNK_TRIALS, remaining)
         heads = rng.random((m, n_flips)) < config.coin_bias
         wins += int((heads[:, epoch_idx] == need_heads).all(axis=1).sum())
         remaining -= m

@@ -54,8 +54,8 @@ PINNED_JSON = """\
     },
     {
       "trials": 50,
-      "changed": 28,
-      "change_fraction": 0.56
+      "changed": 32,
+      "change_fraction": 0.64
     },
     {
       "trials": 50,
@@ -64,8 +64,8 @@ PINNED_JSON = """\
     },
     {
       "trials": 50,
-      "changed": 23,
-      "change_fraction": 0.46
+      "changed": 29,
+      "change_fraction": 0.58
     }
   ]
 }
@@ -82,9 +82,9 @@ bet 0: outcome changed in 0 of 50 re-placements (fraction 0)
 bet 1: outcome changed in 0 of 50 re-placements (fraction 0)
 bet 2: outcome changed in 50 of 50 re-placements (fraction 1)
 bet 3: outcome changed in 0 of 50 re-placements (fraction 0)
-bet 4: outcome changed in 28 of 50 re-placements (fraction 0.56)
+bet 4: outcome changed in 32 of 50 re-placements (fraction 0.64)
 bet 5: outcome changed in 0 of 50 re-placements (fraction 0)
-bet 6: outcome changed in 23 of 50 re-placements (fraction 0.46)
+bet 6: outcome changed in 29 of 50 re-placements (fraction 0.58)
 """
 
 
@@ -113,8 +113,8 @@ class TestSimulate:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         doc = json.loads(first)
-        assert doc["flips"] == [{"time": 0.0, "outcome": "H"}]
-        assert doc["resolutions"] == [True, True]
+        assert doc["flips"] == [{"time": 0.0, "outcome": "T"}]
+        assert doc["resolutions"] == [False, False]
 
     def test_out_file(self, paradox_files, tmp_path, capsys):
         _, bets = paradox_files

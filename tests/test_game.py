@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -168,14 +169,21 @@ class TestMakeTrace:
 
 class TestSimulateGame:
     def test_seeded_heads_wins_both_bets(self):
-        # seed 7 makes the single draw land heads
+        # seed 1 makes the single draw land heads (its first value is 0.30)
         trace = simulate_game(
-            GameConfig(horizon=1.0, coin_bias=0.5, seed=7),
+            GameConfig(horizon=1.0, coin_bias=0.5, seed=1),
             [0.0],
             [Bet(0.3, H), Bet(0.7, H)],
         )
         assert trace.flips[0].outcome is H
         assert trace.resolutions == (True, True)
+
+    @given(st.data())
+    def test_outcomes_are_the_philox_stream_below_the_bias(self, data):
+        config, flip_times, bets = data.draw(game_inputs())
+        trace = simulate_game(config, flip_times, bets)
+        draws = np.random.Generator(np.random.Philox(key=config.seed)).random(len(flip_times))
+        assert [f.outcome is H for f in trace.flips] == (draws < config.coin_bias).tolist()
 
     def test_no_bets_no_resolutions(self):
         trace = simulate_game(GameConfig(horizon=1.0, seed=3), [0.0, 0.5], [])

@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flipbet import significance
 from flipbet import (
     Bet,
     DomainError,
@@ -131,6 +133,10 @@ class TestLosingProbability:
         with pytest.raises(DomainError):
             losing_probability(0, 0.5)
 
+    def test_bool_probability_rejected(self):
+        with pytest.raises(DomainError, match="p must"):
+            losing_probability(10, True)
+
 
 class TestRandomReproductionPvalue:
     def test_single_effective_event_stays_half(self):
@@ -149,6 +155,10 @@ class TestRandomReproductionPvalue:
     def test_k_above_m_rejected(self):
         with pytest.raises(DomainError):
             random_reproduction_pvalue(3, 2)
+
+    def test_bool_wins_rejected(self):
+        with pytest.raises(DomainError, match="k_wins"):
+            random_reproduction_pvalue(True, 2)
 
     @given(st.integers(min_value=0, max_value=120))
     def test_full_wins_equal_power_of_half(self, m):
@@ -174,7 +184,7 @@ class TestRandomReproductionPvalue:
 class TestRandomizationTest:
     def test_paradox_second_bet_never_changes(self, paradox_trace):
         result = randomization_test(paradox_trace, 1, interval=(0.3, 0.7), trials=1000, seed=0)
-        assert result == RandomizationResult(trials=1000, changed=0, change_fraction=0.0)
+        assert result == RandomizationResult(trials=1000, changed=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 123456789, 2**63])
     def test_invariance_holds_for_any_seed(self, paradox_trace, seed):
@@ -222,6 +232,47 @@ class TestRandomizationTest:
     def test_bool_index_rejected(self, paradox_trace):
         with pytest.raises(DomainError):
             randomization_test(paradox_trace, True)
+
+    def test_bool_trials_rejected(self, paradox_trace):
+        with pytest.raises(DomainError, match="trials"):
+            randomization_test(paradox_trace, 0, trials=True)
+
+    @pytest.mark.parametrize("interval", [("a", "b"), (0.1,), 0.5, (0.1, float("nan"))])
+    def test_malformed_interval_rejected(self, paradox_trace, interval):
+        with pytest.raises(DomainError, match="interval"):
+            randomization_test(paradox_trace, 1, interval=interval)
+
+    @pytest.mark.parametrize("seed", [-5, 2**64, "abc", 1.0, True])
+    def test_seed_outside_64_bits_rejected(self, paradox_trace, seed):
+        with pytest.raises(DomainError, match="seed"):
+            randomization_test(paradox_trace, 1, seed=seed)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_per_trial_linear_scan(self, data):
+        # Reference: the same Philox draws, each resolved by scanning every
+        # flip (flip-first: a flip at exactly t governs t).
+        from conftest import seeds, traces
+
+        trace = data.draw(traces(min_bets=1))
+        index = data.draw(st.integers(0, len(trace.bets) - 1))
+        points = st.one_of(
+            st.floats(0.0, trace.config.horizon, allow_nan=False),
+            st.sampled_from([f.time for f in trace.flips]),
+        )
+        lo, hi = sorted((data.draw(points), data.draw(points)))
+        trials = data.draw(st.integers(1, 60))
+        seed = data.draw(seeds)
+        bet = trace.bets[index]
+        changed = 0
+        for t in np.random.Generator(np.random.Philox(key=seed)).uniform(lo, hi, trials).tolist():
+            face = None
+            for flip in trace.flips:
+                if flip.time <= t:
+                    face = flip.outcome
+            changed += (bet.prediction is face) != trace.resolutions[index]
+        result = randomization_test(trace, index, interval=(lo, hi), trials=trials, seed=seed)
+        assert result == RandomizationResult(trials=trials, changed=changed)
 
     @given(st.data())
     @settings(max_examples=200)
@@ -282,11 +333,19 @@ class TestMonteCarloCompound:
         mc = monte_carlo_compound(GameConfig(horizon=1.0), [0.0], [], trials=100, base_seed=1)
         assert mc.estimate == 1.0
 
-    def test_chunking_does_not_change_the_count(self):
+    def test_chunking_does_not_change_the_count(self, monkeypatch):
         args = (GameConfig(horizon=1.0), [0.0, 0.4], [Bet(0.2, H), Bet(0.6, T)])
-        one_shot = monte_carlo_compound(*args, trials=30_000, base_seed=7, chunk_trials=30_000)
-        chunked = monte_carlo_compound(*args, trials=30_000, base_seed=7, chunk_trials=999)
+        monkeypatch.setattr(significance, "_CHUNK_TRIALS", 30_000)
+        one_shot = monte_carlo_compound(*args, trials=30_000, base_seed=7)
+        monkeypatch.setattr(significance, "_CHUNK_TRIALS", 999)
+        chunked = monte_carlo_compound(*args, trials=30_000, base_seed=7)
         assert one_shot == chunked
+
+    @pytest.mark.parametrize("field", ["trials", "base_seed"])
+    def test_bool_trials_and_seed_rejected(self, field):
+        kwargs = {"trials": 10, "base_seed": 0, field: True}
+        with pytest.raises(DomainError, match=field):
+            monte_carlo_compound(GameConfig(horizon=1.0), [0.0], [Bet(0.5, H)], **kwargs)
 
     def test_validation_errors_propagate(self):
         with pytest.raises(ValidationError):
