@@ -19,12 +19,12 @@ import sys
 from pathlib import Path
 
 from .errors import FlipBetError
-from .game import Bet, Face, Flip, GameConfig, GameTrace, make_trace, simulate_game
+from .game import Bet, Face, Flip, GameConfig, GameTrace, _Columns, make_trace, simulate_game
 from .report import (
     AnalysisOptions,
+    _read_log,
     analyze,
     load_bets,
-    load_flips,
     report_to_dict,
     trace_to_dict,
 )
@@ -115,15 +115,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    flips = load_flips(args.flips)
-    bets = load_bets(args.bets)
+    options = AnalysisOptions(randomization_trials=args.randomize, seed=args.seed)
+    flip_times, flip_heads = _read_log(args.flips, "outcome", distinct=True)
+    bet_times, bet_heads = _read_log(args.bets, "prediction")
     horizon = args.horizon
     if horizon is None:
-        latest = max([f.time for f in flips] + [b.time for b in bets], default=0.0)
+        latest = max(flip_times.max(initial=0.0), bet_times.max(initial=0.0)).item()
         horizon = latest if latest > 0 else 1.0
     config = GameConfig(horizon=horizon, coin_bias=args.bias)
-    trace = make_trace(config, flips, bets)
-    options = AnalysisOptions(randomization_trials=args.randomize, seed=args.seed)
+    trace = GameTrace._from_columns(
+        config, _Columns(flip_times, flip_heads), _Columns(bet_times, bet_heads)
+    )
     report = analyze(trace, options)
     if args.format == "json":
         print(json.dumps(report_to_dict(report), indent=2))

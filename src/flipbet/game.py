@@ -20,20 +20,23 @@ Conventions, fixed once and used everywhere:
   identical traces.
 
 :class:`GameTrace` is the one place that checks a trace and applies the
-flip-first rule: one search for each bet's governing flip both resolves the
-bets and builds the trace's epoch table, which every analysis reads, and
-keeps the flip times and faces as read-only numpy columns.
+flip-first rule. Its truth is four read-only numpy columns (flip times,
+flip heads, bet times, bet heads), checked by one vectorized pass; one
+``np.searchsorted`` for each bet's governing flip both resolves the bets
+and builds the trace's epoch table, which every analysis reads. The
+:class:`Flip` and :class:`Bet` records of a trace are built from its
+columns on first access, unless the trace was built from records, which
+it keeps as given.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from itertools import groupby
+from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,8 +124,8 @@ class GameConfig:
             problems.append(f"horizon must be a finite positive number, got {self.horizon!r}")
         if not (_is_number(self.coin_bias) and 0.0 <= self.coin_bias <= 1.0):
             problems.append(f"coin_bias must lie in [0, 1], got {self.coin_bias!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (0 <= self.seed <= _MAX_SEED):
-            problems.append(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if seed_problem := _seed_problem(self.seed):
+            problems.append(seed_problem)
         if problems:
             raise ValidationError(problems)
 
@@ -131,55 +134,122 @@ def _is_number(x: object) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _schedule_problems(
-    horizon: float,
-    flip_times: Sequence[float],
-    bets: Sequence[Bet],
-    outcomes: Sequence[Face] = (),
-) -> list[str]:
-    """Collect every violation of the schedule and face invariants."""
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _seed_problem(seed: object) -> str | None:
+    """Why ``seed`` cannot key the random source, or None if it can."""
+    if _is_int(seed) and 0 <= seed <= _MAX_SEED:
+        return None
+    return f"seed must be a 64-bit unsigned integer, got {seed!r}"
+
+
+class _Columns(NamedTuple):
+    """One side of a schedule as columns: what the trace checks and stores.
+
+    ``given_times`` and ``given_faces`` are the values as the caller gave
+    them; a problem message shows them (``2``, not ``2.0``). ``None`` means
+    the columns are what was given. ``records`` are the caller's records,
+    which a trace keeps as given.
+    """
+
+    times: np.ndarray  # float64; NaN where the given time is not a number
+    faces: np.ndarray | None  # 1 heads, 0 tails, -1 not a Face; None before the draw
+    given_times: Sequence | None = None
+    given_faces: Sequence | None = None
+    records: tuple | None = None
+
+
+def _columns(times: Sequence, faces: Sequence | None = None) -> _Columns:
+    """Columns of given times and faces; the per-value type checks happen here."""
+    times = list(times)
+    numbers = times
+    if not set(map(type, times)) <= {float, int}:
+        numbers = [t if isinstance(t, (int, float)) else math.nan for t in times]
+    codes = None
+    if faces is not None:
+        faces = list(faces)
+        codes = np.fromiter(
+            (1 if f is Face.HEADS else 0 if f is Face.TAILS else -1 for f in faces),
+            np.int8,
+            len(faces),
+        )
+    return _Columns(np.array(numbers, dtype=float), codes, times, faces)
+
+
+def _record_columns(records: tuple, face: str) -> _Columns:
+    columns = _columns([r.time for r in records], [getattr(r, face) for r in records])
+    return columns._replace(records=records)
+
+
+def _schedule_problems(horizon: float, flips: _Columns, bets: _Columns) -> list[str]:
+    """Every violation of the schedule and face invariants, in a fixed order.
+
+    Flip problems come first (empty schedule or no flip at time 0, then
+    each bad time, then each out-of-order pair, then each outcome that is
+    not a Face), then bet problems (each bet's time and prediction, then
+    each out-of-order pair).
+    """
+    ft, bt = flips.times, bets.times
     problems: list[str] = []
-    if not flip_times:
+    if not len(ft):
         problems.append("flip schedule is empty: the game must open with a flip at time 0")
     else:
-        if flip_times[0] != 0.0:
-            problems.append(f"first flip must be at time 0, got {flip_times[0]!r}")
-        for i, t in enumerate(flip_times):
-            if not (isinstance(t, (int, float)) and math.isfinite(t)):
-                problems.append(f"flip[{i}] time is not a finite number: {t!r}")
-            elif not (0.0 <= t <= horizon):
-                problems.append(f"flip[{i}] time {t!r} outside [0, {horizon}]")
-        for i in range(1, len(flip_times)):
-            if flip_times[i - 1] >= flip_times[i]:
-                problems.append(
-                    f"flip times must be strictly increasing: "
-                    f"flip[{i - 1}]={flip_times[i - 1]!r} >= flip[{i}]={flip_times[i]!r}"
-                )
-    for i, o in enumerate(outcomes):
-        if not isinstance(o, Face):
-            problems.append(f"flip[{i}] outcome is not a Face: {o!r}")
-    for i, bet in enumerate(bets):
-        t = bet.time
-        if not (isinstance(t, (int, float)) and math.isfinite(t)):
-            problems.append(f"bet[{i}] time is not a finite number: {t!r}")
-        elif not (0.0 <= t <= horizon):
-            problems.append(f"bet[{i}] time {t!r} outside [0, {horizon}]")
-        if not isinstance(bet.prediction, Face):
-            problems.append(f"bet[{i}] prediction is not a Face: {bet.prediction!r}")
-    for i in range(1, len(bets)):
-        if bets[i - 1].time > bets[i].time:
+        if ft[0] != 0.0:
+            problems.append(f"first flip must be at time 0, got {_given(flips, 0)!r}")
+        for i in _where(_bad_times(ft, horizon)):
+            problems.append(_time_problem("flip", i, _given(flips, i), horizon))
+        for i in _where(ft[:-1] >= ft[1:]):
             problems.append(
-                f"bet times must be non-decreasing: "
-                f"bet[{i - 1}]={bets[i - 1].time!r} > bet[{i}]={bets[i].time!r}"
+                f"flip times must be strictly increasing: "
+                f"flip[{i}]={_given(flips, i)!r} >= flip[{i + 1}]={_given(flips, i + 1)!r}"
             )
+    if flips.faces is not None:
+        for i in _where(flips.faces < 0):
+            problems.append(f"flip[{i}] outcome is not a Face: {flips.given_faces[i]!r}")
+    bad_time, bad_face = _bad_times(bt, horizon), bets.faces < 0
+    for i in _where(bad_time | bad_face):
+        if bad_time[i]:
+            problems.append(_time_problem("bet", i, _given(bets, i), horizon))
+        if bad_face[i]:
+            problems.append(f"bet[{i}] prediction is not a Face: {bets.given_faces[i]!r}")
+    for i in _where(bt[:-1] > bt[1:]):
+        problems.append(
+            f"bet times must be non-decreasing: "
+            f"bet[{i}]={_given(bets, i)!r} > bet[{i + 1}]={_given(bets, i + 1)!r}"
+        )
     return problems
+
+
+def _bad_times(times: np.ndarray, horizon: float) -> np.ndarray:
+    return ~np.isfinite(times) | (times < 0.0) | (times > horizon)
+
+
+def _where(flags: np.ndarray) -> list[int]:
+    return np.flatnonzero(flags).tolist()
+
+
+def _given(columns: _Columns, i: int) -> object:
+    """Time ``i`` as the caller gave it."""
+    return columns.times[i].item() if columns.given_times is None else columns.given_times[i]
+
+
+def _time_problem(kind: str, i: int, t: object, horizon: float) -> str:
+    if not (isinstance(t, (int, float)) and math.isfinite(t)):
+        return f"{kind}[{i}] time is not a finite number: {t!r}"
+    return f"{kind}[{i}] time {t!r} outside [0, {horizon}]"
+
+
+_FACES = (Face.TAILS, Face.HEADS)  # indexed by a heads flag
 
 
 @dataclass(frozen=True)
 class EpochGrouping:
     """Assignment of each bet to the flip (epoch) governing it.
 
-    Every :class:`GameTrace` builds this table once, at construction;
+    Every :class:`GameTrace` builds its epoch columns once, at
+    construction, and this table from them on first request;
     :func:`flipbet.probability.group_by_epoch` returns it.
 
     Attributes:
@@ -215,25 +285,18 @@ class EpochGrouping:
             raise DomainError(f"{bet!r} does not belong to this grouping") from None
 
 
-def _epoch_table(bets: tuple[Bet, ...], epoch_of_bet: tuple[int, ...]) -> EpochGrouping:
-    # Bet times never decrease, so each epoch's bets form one contiguous run.
-    predictions = [b.prediction for b in bets]
-    bets_per_epoch: dict[int, tuple[int, ...]] = {}
-    faces: dict[int, Face | None] = {}
-    start = 0
-    for epoch, run in groupby(epoch_of_bet):
-        stop = start + len(tuple(run))
-        bets_per_epoch[epoch] = tuple(range(start, stop))
-        distinct = set(predictions[start:stop])
-        faces[epoch] = distinct.pop() if len(distinct) == 1 else None
-        start = stop
-    # Read-only views: the table is cached on the trace and shared by every caller.
-    return EpochGrouping(bets, epoch_of_bet, MappingProxyType(bets_per_epoch), MappingProxyType(faces))
-
-
-@dataclass(frozen=True)
 class GameTrace:
     """The complete record of one game.
+
+    Four read-only numpy columns are the truth of a trace: flip times, flip
+    heads, bet times and bet heads. ``GameTrace(config, flips, bets,
+    resolutions)`` converts the records to those columns; the package's
+    readers and the simulator build traces from columns directly. Either
+    way one private column constructor runs every check, resolves every
+    bet flip-first with one ``np.searchsorted`` and builds the epoch
+    table. ``flips``, ``bets`` and ``resolutions`` are tuples built from
+    the columns on first access and then cached; a trace built from
+    records keeps the caller's records as given.
 
     Invariants (enforced at construction):
 
@@ -244,56 +307,133 @@ class GameTrace:
     * ``resolutions[i]`` is True exactly when ``bets[i]`` predicted the
       coin's state at its time (flip-first at shared timestamps).
 
-    ``resolutions`` are derived when omitted and checked when given. The
-    same governing-flip search builds the epoch table that
-    :func:`flipbet.probability.group_by_epoch` returns.
+    ``resolutions`` are derived when omitted and checked when given.
+    Traces compare equal when their configs and columns are equal.
     """
 
-    config: GameConfig
-    flips: tuple[Flip, ...]
-    bets: tuple[Bet, ...] = field(default=())
-    resolutions: tuple[bool, ...] | None = None
-    _epochs: EpochGrouping = field(init=False, repr=False, compare=False)
-    _flip_times: np.ndarray = field(init=False, repr=False, compare=False)
-    _flip_heads: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        flips = tuple(self.flips)
-        bets = tuple(self.bets)
-        flip_times = [f.time for f in flips]
-        problems = _schedule_problems(
-            self.config.horizon, flip_times, bets, [f.outcome for f in flips]
+    def __init__(
+        self,
+        config: GameConfig,
+        flips: Iterable[Flip],
+        bets: Iterable[Bet] = (),
+        resolutions: Iterable[bool] | None = None,
+    ) -> None:
+        self._build(
+            config,
+            _record_columns(tuple(flips), "outcome"),
+            _record_columns(tuple(bets), "prediction"),
+            resolutions,
         )
+
+    @classmethod
+    def _from_columns(cls, config: GameConfig, flips: _Columns, bets: _Columns) -> GameTrace:
+        trace = cls.__new__(cls)
+        trace._build(config, flips, bets, None)
+        return trace
+
+    def _build(
+        self,
+        config: GameConfig,
+        flips: _Columns,
+        bets: _Columns,
+        resolutions: Iterable[bool] | None,
+    ) -> None:
+        """The column constructor: check, resolve flip-first, build the epoch table."""
+        problems = _schedule_problems(config.horizon, flips, bets)
         if problems:
             raise ValidationError(problems)
-        epoch_of_bet = tuple(bisect_right(flip_times, b.time) - 1 for b in bets)
-        resolutions = tuple(
-            b.prediction is flips[e].outcome for b, e in zip(bets, epoch_of_bet)
-        )
-        if self.resolutions is not None:
-            given = tuple(self.resolutions)
-            if len(given) != len(bets):
-                raise ValidationError(f"expected {len(bets)} resolutions, got {len(given)}")
-            if given != resolutions:
+        flip_heads = _read_only(flips.faces == 1)
+        bet_heads = _read_only(bets.faces == 1)
+        epoch = np.searchsorted(flips.times, bets.times, "right") - 1
+        won = bet_heads == flip_heads[epoch]
+        if resolutions is not None:
+            given, derived = tuple(resolutions), tuple(won.tolist())
+            if len(given) != len(derived):
+                raise ValidationError(f"expected {len(derived)} resolutions, got {len(given)}")
+            if given != derived:
                 raise ValidationError(
                     "resolutions do not match bet predictions against the flip record"
                 )
-        object.__setattr__(self, "flips", flips)
-        object.__setattr__(self, "bets", bets)
-        object.__setattr__(self, "resolutions", resolutions)
-        object.__setattr__(self, "_epochs", _epoch_table(bets, epoch_of_bet))
-        object.__setattr__(self, "_flip_times", _column(flip_times, float))
-        heads = [f.outcome is Face.HEADS for f in flips]
-        object.__setattr__(self, "_flip_heads", _column(heads, bool))
+        # Bet times never decrease, so each epoch's bets form one contiguous run.
+        starts = np.flatnonzero(np.diff(epoch, prepend=-1))
+        codes = bet_heads.view(np.int8)
+        low, high = np.minimum.reduceat(codes, starts), np.maximum.reduceat(codes, starts)
+        vars(self).update(
+            config=config,
+            _flip_times=_read_only(flips.times),
+            _flip_heads=flip_heads,
+            _bet_times=_read_only(bets.times),
+            _bet_heads=bet_heads,
+            _epoch=_read_only(epoch),
+            _won=_read_only(won),
+            _starts=_read_only(starts),
+            _occupied=_read_only(epoch[starts]),
+            # per occupied epoch: 1 all heads, 0 all tails, -1 conflicting
+            _epoch_faces=_read_only(np.where(low == high, high, -1).astype(np.int8)),
+        )
+        records = (("flips", flips.records), ("bets", bets.records))
+        vars(self).update((name, kept) for name, kept in records if kept is not None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is read-only")
+
+    @cached_property
+    def flips(self) -> tuple[Flip, ...]:
+        return tuple(_records(Flip, self._flip_times, self._flip_heads))
+
+    @cached_property
+    def bets(self) -> tuple[Bet, ...]:
+        return tuple(_records(Bet, self._bet_times, self._bet_heads))
+
+    @cached_property
+    def resolutions(self) -> tuple[bool, ...]:
+        return tuple(self._won.tolist())
+
+    @cached_property
+    def _epochs(self) -> EpochGrouping:
+        starts = self._starts.tolist()
+        runs = map(tuple, map(range, starts, starts[1:] + [len(self._epoch)]))
+        faces = (_FACES[f] if f >= 0 else None for f in self._epoch_faces.tolist())
+        occupied = self._occupied.tolist()
+        # Read-only views: the table is cached on the trace and shared by every caller.
+        return EpochGrouping(
+            self.bets,
+            tuple(self._epoch.tolist()),
+            MappingProxyType(dict(zip(occupied, runs))),
+            MappingProxyType(dict(zip(occupied, faces))),
+        )
 
     @property
     def wins(self) -> int:
         """Number of winning bets."""
-        return sum(self.resolutions)
+        return int(np.count_nonzero(self._won))
+
+    def _column_tuple(self) -> tuple[np.ndarray, ...]:
+        return (self._flip_times, self._flip_heads, self._bet_times, self._bet_heads)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GameTrace):
+            return NotImplemented
+        return self.config == other.config and all(
+            np.array_equal(a, b) for a, b in zip(self._column_tuple(), other._column_tuple())
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.config, self.flips, self.bets))
+
+    def __repr__(self) -> str:
+        return (
+            f"GameTrace(config={self.config!r}, flips={self.flips!r}, "
+            f"bets={self.bets!r}, resolutions={self.resolutions!r})"
+        )
 
 
-def _column(values: list, dtype: type) -> np.ndarray:
-    array = np.array(values, dtype=dtype)
+def _records(record: type, times: np.ndarray, heads: np.ndarray) -> Iterable:
+    """``record(time, face)`` per row of a time column and a heads column."""
+    return map(record, times.tolist(), map(_FACES.__getitem__, heads.tolist()))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
 
@@ -314,7 +454,8 @@ def coin_state_at(trace: GameTrace, t: float) -> Face:
     """
     if not (isinstance(t, (int, float)) and 0.0 <= t <= trace.config.horizon):
         raise DomainError(f"time {t!r} outside the game window [0, {trace.config.horizon}]")
-    return trace.flips[np.searchsorted(trace._flip_times, t, "right") - 1].outcome
+    heads = trace._flip_heads[np.searchsorted(trace._flip_times, t, "right") - 1]
+    return Face.HEADS if heads else Face.TAILS
 
 
 def simulate_game(
@@ -344,15 +485,11 @@ def simulate_game(
             predictions that are not a :class:`Face`).
     """
     bets = tuple(bet_plan)
-    # Checked before the draw, so a bad schedule fails before any randomness is used.
-    problems = _schedule_problems(config.horizon, flip_times, bets)
-    if problems:
-        raise ValidationError(problems)
-    heads = _generator(config.seed).random(len(flip_times)) < config.coin_bias
-    flips = tuple(
-        Flip(float(t), Face.HEADS if h else Face.TAILS) for t, h in zip(flip_times, heads.tolist())
+    flips = _columns(flip_times)
+    heads = _generator(config.seed).random(len(flips.times)) < config.coin_bias
+    return GameTrace._from_columns(
+        config, flips._replace(faces=heads), _record_columns(bets, "prediction")
     )
-    return GameTrace(config=config, flips=flips, bets=bets)
 
 
 def make_trace(

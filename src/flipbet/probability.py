@@ -15,12 +15,14 @@ state, so the number of occupied epochs, not the number of bets, is the
 number of independent events in the record.
 
 The grouping is not computed here. Each :class:`~flipbet.game.GameTrace`
-builds its epoch table once, at construction, where the flip-first rule
-lives; :func:`group_by_epoch` returns that table and every function below
-reads it.
+builds its epoch columns once, at construction, where the flip-first rule
+lives; every function below reads them, and :func:`group_by_epoch` returns
+the trace's read-only view of them.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import DomainError
 from .game import Bet, EpochGrouping, Face, GameTrace
@@ -38,8 +40,8 @@ __all__ = [
 def group_by_epoch(trace: GameTrace) -> EpochGrouping:
     """The trace's epoch table: its bets grouped by the flip governing each.
 
-    The table is built once, when the trace is constructed; every call
-    returns that same object.
+    The table's columns are built once, when the trace is constructed;
+    every call returns the same view of them.
     """
     return trace._epochs
 
@@ -90,10 +92,13 @@ def naive_compound_probability(trace: GameTrace) -> float:
     bet for a fair coin, hence ``0.5 ** len(bets)``. An empty record gives
     the empty product, 1.
     """
-    p = 1.0
-    for bet in trace.bets:
-        p *= _marginal(bet.prediction, trace.config.coin_bias)
-    return p
+    return _product_of_marginals(trace._bet_heads.tolist(), trace.config.coin_bias)
+
+
+def _product_of_marginals(heads: list[bool], coin_bias: float) -> float:
+    # math.prod multiplies in sequence, left to right, as a loop of *= would:
+    # the rounding, and so every reported digit, depends on that order.
+    return math.prod(map((1.0 - coin_bias, coin_bias).__getitem__, heads), start=1.0)
 
 
 def true_compound_probability(trace: GameTrace) -> float:
@@ -106,14 +111,10 @@ def true_compound_probability(trace: GameTrace) -> float:
     sharing an epoch are fully dependent and add no factor beyond the
     first.
     """
-    faces = group_by_epoch(trace).faces.values()
-    if None in faces:
+    faces = trace._epoch_faces
+    if (faces < 0).any():
         return 0.0
-    bias = trace.config.coin_bias
-    p = 1.0
-    for face in faces:
-        p *= _marginal(face, bias)
-    return p
+    return _product_of_marginals((faces == 1).tolist(), trace.config.coin_bias)
 
 
 def effective_event_count(trace: GameTrace) -> int:
@@ -124,4 +125,4 @@ def effective_event_count(trace: GameTrace) -> int:
     containing at least one bet is what a statistical evaluation may treat
     as the sample size. Zero bets give zero events.
     """
-    return len(group_by_epoch(trace).bets_per_epoch)
+    return len(trace._occupied)

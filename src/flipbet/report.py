@@ -1,7 +1,8 @@
 """File ingestion and the machine-readable analysis report.
 
-CSV input schemas (UTF-8, LF or CRLF, optional header row detected by a
-non-numeric first field):
+CSV input schemas (UTF-8, LF or CRLF, CSV quoting, blank lines skipped, an
+optional header row on line 1 detected by a non-numeric first field; rows
+are stably sorted by time):
 
 * flips: ``time,outcome`` with outcome in {H, T}; duplicate times rejected.
 * bets: ``time,prediction`` with prediction in {H, T}.
@@ -21,11 +22,23 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .errors import CsvFormatError, ValidationError
-from .game import Bet, Face, Flip, GameConfig, GameTrace
+import numpy as np
+
+from .errors import CsvFormatError, DomainError, ValidationError
+from .game import (
+    Bet,
+    Face,
+    Flip,
+    GameConfig,
+    GameTrace,
+    _is_int,
+    _is_number,
+    _records,
+    _seed_problem,
+)
 from .probability import (
     effective_event_count,
-    group_by_epoch,
+    group_by_epoch,  # noqa: F401 -- unused, but callers and tracers may look it up here
     naive_compound_probability,
     true_compound_probability,
 )
@@ -63,10 +76,25 @@ class AnalysisOptions:
     ``randomization_trials`` switches on a per-bet randomization test with
     that many trials; per-bet seeds are derived from ``seed`` and the bet
     index.
+
+    Raises:
+        ValidationError: If ``randomization_trials`` is neither None nor an
+            integer >= 1, or ``seed`` is not an integer in
+            ``[0, 2**64 - 1]`` (a bool is neither).
     """
 
     randomization_trials: int | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        problems = []
+        trials = self.randomization_trials
+        if trials is not None and not (_is_int(trials) and trials >= 1):
+            problems.append(f"randomization_trials must be None or an integer >= 1, got {trials!r}")
+        if seed_problem := _seed_problem(self.seed):
+            problems.append(seed_problem)
+        if problems:
+            raise ValidationError(problems)
 
 
 @dataclass(frozen=True)
@@ -92,46 +120,60 @@ class AnalysisReport:
     randomization: tuple[RandomizationResult, ...] | None = None
 
 
-def _parse_rows(path: str | Path, value_name: str) -> list[tuple[float, Face, int]]:
-    """Parse a two-column time/face CSV into (time, face, line_no) rows."""
+_FACE_CODES = {"H": 1, "T": 0}
+
+
+def _read_log(
+    path: str | Path, value_name: str, *, distinct: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read a two-column time/face CSV into (times, heads) columns.
+
+    Rows are checked as they are read, so the error raised is the first
+    offending row's, with its line. Rows are then stably sorted by time, so
+    equal times keep file order; with ``distinct``, equal times are an error.
+    """
     path = Path(path)
-    rows: list[tuple[float, Face, int]] = []
+    times: list[float] = []
+    heads: list[int] = []
+    lines: list[int] = []
+    codes: dict[str, int] = {}  # face token as written -> 1 heads, 0 tails, -1 unknown
     with path.open(newline="", encoding="utf-8") as handle:
         for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # blank line
             if len(row) != 2:
-                raise CsvFormatError(
-                    f"expected 2 fields (time,{value_name}), got {len(row)}",
-                    path=str(path),
-                    line=line_no,
-                )
-            time_token, face_token = row[0].strip(), row[1].strip()
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue  # blank line
+                problem = f"expected 2 fields (time,{value_name}), got {len(row)}"
+                raise CsvFormatError(problem, path=str(path), line=line_no)
+            time_token, face_token = row
             try:
                 t = float(time_token)
             except ValueError:
                 if line_no == 1:
                     continue  # header row: non-numeric first field
-                raise CsvFormatError(
-                    f"malformed time {time_token!r}", path=str(path), line=line_no
-                ) from None
-            if not math.isfinite(t) or t < 0.0:
-                raise CsvFormatError(
-                    f"time out of range (finite, >= 0): {time_token!r}",
-                    path=str(path),
-                    line=line_no,
-                )
-            try:
-                face = Face(face_token.upper())
-            except ValueError:
-                raise CsvFormatError(
-                    f"unknown face token {face_token!r} (expected 'H' or 'T')",
-                    path=str(path),
-                    line=line_no,
-                ) from None
-            rows.append((t, face, line_no))
-    rows.sort(key=lambda r: r[0])  # stable: equal times keep file order
-    return rows
+                problem = f"malformed time {time_token.strip()!r}"
+                raise CsvFormatError(problem, path=str(path), line=line_no) from None
+            if not 0.0 <= t < math.inf:
+                problem = f"time out of range (finite, >= 0): {time_token.strip()!r}"
+                raise CsvFormatError(problem, path=str(path), line=line_no)
+            code = codes.get(face_token)
+            if code is None:
+                code = codes[face_token] = _FACE_CODES.get(face_token.strip().upper(), -1)
+            if code < 0:
+                problem = f"unknown face token {face_token.strip()!r} (expected 'H' or 'T')"
+                raise CsvFormatError(problem, path=str(path), line=line_no)
+            times.append(t)
+            heads.append(code)
+            lines.append(line_no)
+    t, is_heads, line_of = np.array(times, dtype=float), np.array(heads, dtype=bool), lines
+    if (t[1:] < t[:-1]).any():
+        order = np.argsort(t, kind="stable")
+        t, is_heads, line_of = t[order], is_heads[order], np.array(lines)[order]
+    equal = t[1:] == t[:-1]
+    if distinct and equal.any():
+        i = int(equal.argmax()) + 1
+        problem = f"duplicate flip time {t[i].item()!r}"
+        raise CsvFormatError(problem, path=str(path), line=int(line_of[i]))
+    return t, is_heads
 
 
 def load_flips(path: str | Path) -> list[Flip]:
@@ -142,18 +184,12 @@ def load_flips(path: str | Path) -> list[Flip]:
         CsvFormatError: Malformed row, out-of-range time, unknown face
             token, or duplicate flip time (all with the offending line).
     """
-    rows = _parse_rows(path, "outcome")
-    for prev, cur in zip(rows, rows[1:]):
-        if prev[0] == cur[0]:
-            raise CsvFormatError(
-                f"duplicate flip time {cur[0]!r}", path=str(path), line=cur[2]
-            )
-    return [Flip(t, face) for t, face, _ in rows]
+    return list(_records(Flip, *_read_log(path, "outcome", distinct=True)))
 
 
 def load_bets(path: str | Path) -> list[Bet]:
     """Read a bet log. Rows are returned time-ordered; equal times keep file order."""
-    return [Bet(t, face) for t, face, _ in _parse_rows(path, "prediction")]
+    return list(_records(Bet, *_read_log(path, "prediction")))
 
 
 def analyze(trace: GameTrace, options: AnalysisOptions | None = None) -> AnalysisReport:
@@ -167,9 +203,11 @@ def analyze(trace: GameTrace, options: AnalysisOptions | None = None) -> Analysi
     bet also gets a randomization test over its default interval.
     """
     options = options or AnalysisOptions()
-    faces = group_by_epoch(trace).faces
+    bet_count = len(trace._bet_times)
     effective_events = effective_event_count(trace)
-    effective_wins = sum(face is trace.flips[e].outcome for e, face in faces.items())
+    # A conflicting epoch's face (-1) never equals a flip's heads flag.
+    unanimous_and_right = trace._epoch_faces == trace._flip_heads[trace._occupied]
+    effective_wins = int(np.count_nonzero(unanimous_and_right))
     randomization = None
     if options.randomization_trials is not None:
         randomization = tuple(
@@ -179,20 +217,24 @@ def analyze(trace: GameTrace, options: AnalysisOptions | None = None) -> Analysi
                 trials=options.randomization_trials,
                 seed=derive_seed(options.seed, i),
             )
-            for i in range(len(trace.bets))
+            for i in range(bet_count)
         )
     return AnalysisReport(
-        bet_count=len(trace.bets),
-        flip_count=len(trace.flips),
+        bet_count=bet_count,
+        flip_count=len(trace._flip_times),
         effective_events=effective_events,
         wins=trace.wins,
         effective_wins=effective_wins,
         naive_compound=_sig12(naive_compound_probability(trace)),
         true_compound=_sig12(true_compound_probability(trace)),
-        naive_pvalue=_sig12(random_reproduction_pvalue(trace.wins, len(trace.bets))),
+        naive_pvalue=_sig12(random_reproduction_pvalue(trace.wins, bet_count)),
         corrected_pvalue=_sig12(random_reproduction_pvalue(effective_wins, effective_events)),
         randomization=randomization,
     )
+
+
+_COUNT_FIELDS = ("bet_count", "flip_count", "effective_events", "wins", "effective_wins")
+_PROBABILITY_FIELDS = ("naive_compound", "true_compound", "naive_pvalue", "corrected_pvalue")
 
 
 def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
@@ -207,18 +249,8 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
             }
             for r in report.randomization
         ]
-    return {
-        "bet_count": report.bet_count,
-        "flip_count": report.flip_count,
-        "effective_events": report.effective_events,
-        "wins": report.wins,
-        "effective_wins": report.effective_wins,
-        "naive_compound": report.naive_compound,
-        "true_compound": report.true_compound,
-        "naive_pvalue": report.naive_pvalue,
-        "corrected_pvalue": report.corrected_pvalue,
-        "randomization": randomization,
-    }
+    doc = {name: getattr(report, name) for name in _COUNT_FIELDS + _PROBABILITY_FIELDS}
+    return {**doc, "randomization": randomization}
 
 
 def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
@@ -228,28 +260,25 @@ def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
     serialized report parses back to exactly the report it came from.
 
     Raises:
-        ValidationError: If a field is missing or has the wrong type.
+        ValidationError: If a field is missing or has the wrong type: counts
+            must be integers and probabilities numbers, neither a bool.
     """
     try:
+        fields = {name: data[name] for name in _COUNT_FIELDS + _PROBABILITY_FIELDS}
+        for name in _COUNT_FIELDS:
+            if not _is_int(fields[name]):
+                raise TypeError(f"{name} must be an integer, got {fields[name]!r}")
+        for name in _PROBABILITY_FIELDS:
+            if not _is_number(fields[name]):
+                raise TypeError(f"{name} must be a number, got {fields[name]!r}")
         randomization = None
         if data.get("randomization") is not None:
             randomization = tuple(
                 RandomizationResult(trials=r["trials"], changed=r["changed"])
                 for r in data["randomization"]
             )
-        return AnalysisReport(
-            bet_count=data["bet_count"],
-            flip_count=data["flip_count"],
-            effective_events=data["effective_events"],
-            wins=data["wins"],
-            effective_wins=data["effective_wins"],
-            naive_compound=data["naive_compound"],
-            true_compound=data["true_compound"],
-            naive_pvalue=data["naive_pvalue"],
-            corrected_pvalue=data["corrected_pvalue"],
-            randomization=randomization,
-        )
-    except (AttributeError, KeyError, TypeError) as exc:
+        return AnalysisReport(**fields, randomization=randomization)
+    except (AttributeError, DomainError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed report document: {exc}") from exc
 
 

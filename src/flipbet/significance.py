@@ -29,7 +29,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .game import Bet, Face, GameConfig, GameTrace, _generator, _is_number, _schedule_problems
+from .game import (
+    _MAX_SEED,
+    Bet,
+    Face,
+    GameConfig,
+    GameTrace,
+    _columns,
+    _generator,
+    _is_number,
+    _record_columns,
+    _schedule_problems,
+)
 
 __all__ = [
     "RandomizationResult",
@@ -50,8 +61,6 @@ _EXACT_COMB_LIMIT = 1000
 # with a one-unit margin against the subnormal boundary).
 _LOG_MIN_NORMAL = math.log(2.2250738585072014e-308) + 1.0
 
-_MASK64 = 2**64 - 1
-
 # Monte Carlo rows simulated per vectorized batch. The estimate does not
 # depend on it: trial i always consumes the i-th block of the stream.
 _CHUNK_TRIALS = 1 << 16
@@ -64,14 +73,15 @@ def derive_seed(base_seed: int, index: int) -> int:
     distinct indices are statistically independent, and the mapping never
     depends on evaluation order, so serial and parallel runs agree.
     """
-    z = (_integer(base_seed, "base_seed", None) ^ _mix64(_integer(index, "index", None))) & _MASK64
+    base_seed, index = _integer(base_seed, "base_seed", None), _integer(index, "index", None)
+    z = (base_seed ^ _mix64(index)) & _MAX_SEED
     return _mix64(z)
 
 
 def _mix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (z + 0x9E3779B97F4A7C15) & _MAX_SEED
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MAX_SEED
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MAX_SEED
     return z ^ (z >> 31)
 
 
@@ -101,18 +111,18 @@ def _check_probability(p: float, name: str = "p") -> float:
 
 @dataclass(frozen=True)
 class RandomizationResult:
-    """Outcome counts of a bet-time randomization test."""
+    """Outcome counts of a bet-time randomization test.
+
+    Raises:
+        DomainError: If ``trials`` is not an integer >= 1 or ``changed``
+            not an integer in ``[0, trials]`` (a bool is neither).
+    """
 
     trials: int
     changed: int
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials!r}")
-        if not (0 <= self.changed <= self.trials):
-            raise DomainError(
-                f"changed must lie in [0, trials], got changed={self.changed!r}, trials={self.trials!r}"
-            )
+        _integer(self.changed, "changed", 0, _integer(self.trials, "trials", 1))
 
     @property
     def change_fraction(self) -> float:
@@ -274,12 +284,12 @@ def randomization_test(
     Raises:
         DomainError: On a bad index, interval, trial count or seed.
     """
-    bet_index = _integer(bet_index, "bet_index", 0, len(trace.bets) - 1)
+    bet_index = _integer(bet_index, "bet_index", 0, len(trace._bet_times) - 1)
     trials = _integer(trials, "trials", 1)
-    seed = _integer(seed, "seed", 0, _MASK64)
+    seed = _integer(seed, "seed", 0, _MAX_SEED)
     if interval is None:
-        lo = trace.bets[bet_index - 1].time if bet_index > 0 else 0.0
-        hi = trace.bets[bet_index].time
+        lo = trace._bet_times[bet_index - 1].item() if bet_index > 0 else 0.0
+        hi = trace._bet_times[bet_index].item()
     else:
         try:
             lo, hi = interval
@@ -293,7 +303,7 @@ def randomization_test(
     epochs = np.searchsorted(trace._flip_times, draws, "right") - 1
     # Same prediction, so the outcome changes exactly where the coin shows
     # another face than in the bet's own epoch.
-    own_face = trace._flip_heads[trace._epochs.epoch_of_bet[bet_index]]
+    own_face = trace._flip_heads[trace._epoch[bet_index]]
     changed = int(np.count_nonzero(trace._flip_heads[epochs] != own_face))
     return RandomizationResult(trials=trials, changed=changed)
 
@@ -325,12 +335,13 @@ def monte_carlo_compound(
         ValidationError: Same schedule checks as the simulator.
     """
     trials = _integer(trials, "trials", 1)
-    base_seed = _integer(base_seed, "base_seed", 0, _MASK64)
+    base_seed = _integer(base_seed, "base_seed", 0, _MAX_SEED)
     bets = tuple(bet_plan)
-    times = [float(t) for t in flip_times]
-    problems = _schedule_problems(config.horizon, times, bets)
+    flips = _columns(flip_times)
+    problems = _schedule_problems(config.horizon, flips, _record_columns(bets, "prediction"))
     if problems:
         raise ValidationError(problems)
+    times = flips.times.tolist()
 
     if not bets:
         return MonteCarloEstimate(trials, trials, 1.0, 0.0)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +90,33 @@ bet 6: outcome changed in 29 of 50 re-placements (fraction 0.58)
 """
 
 
+def _seeded_logs(seed: int, n_flips: int, n_bets: int, conflict: bool) -> tuple[str, str]:
+    """Flip and bet CSV text: a flip every 10 time units, bets at quarter
+    units, every occupied epoch bet on one face drawn for it; with
+    ``conflict``, the last bet takes the other face."""
+    rng = random.Random(seed)
+    flips = ["time,outcome"] + [f"{10 * k},{rng.choice('HT')}" for k in range(n_flips)]
+    faces: dict[int, str] = {}
+    bets = []
+    for t in sorted(rng.randrange(40 * n_flips) / 4 for _ in range(n_bets)):
+        bets.append([t, faces.setdefault(int(t // 10), rng.choice("HT"))])
+    if conflict:
+        bets[-1][1] = "T" if bets[-1][1] == "H" else "H"
+    return "\n".join(flips) + "\n", "".join(f"{t!r},{face}\n" for t, face in bets)
+
+
+# Pinned from the per-record implementation. Case "bulk": 10^4 bets with one
+# conflicting epoch, so true_compound is 0. Case "underflow": a naive
+# product that a reversed multiplication order would leave at 5e-324.
+SEEDED_CASES = {"bulk": (11, 1000, 10_000, True), "underflow": (12, 100, 1040, False)}
+SEEDED_OUTPUT = {
+    ("bulk", "json"): '{\n  "bet_count": 10000,\n  "flip_count": 1000,\n  "effective_events": 1000,\n  "wins": 5044,\n  "effective_wins": 507,\n  "naive_compound": 0.0,\n  "true_compound": 0.0,\n  "naive_pvalue": 0.192150683966,\n  "corrected_pvalue": 0.340511491638,\n  "randomization": null\n}\n',
+    ("bulk", "text"): "bets: 10000 (wins: 5044)\nflips: 1000\neffective events: 1000 (effective wins: 507)\nnaive compound probability: 0\ntrue compound probability: 0\nnaive p-value: 0.192150683966\ncorrected p-value: 0.340511491638\n",
+    ("underflow", "json"): '{\n  "bet_count": 1040,\n  "flip_count": 100,\n  "effective_events": 100,\n  "wins": 596,\n  "effective_wins": 56,\n  "naive_compound": 0.0,\n  "true_compound": 3.03590591565e-32,\n  "naive_pvalue": 1.3645436145e-06,\n  "corrected_pvalue": 0.135626512037,\n  "randomization": null\n}\n',
+    ("underflow", "text"): "bets: 1040 (wins: 596)\nflips: 100\neffective events: 100 (effective wins: 56)\nnaive compound probability: 0\ntrue compound probability: 3.03590591565e-32\nnaive p-value: 1.3645436145e-06\ncorrected p-value: 0.135626512037\n",
+}
+
+
 @pytest.fixture
 def paradox_files(tmp_path):
     flips = tmp_path / "flips.csv"
@@ -132,6 +161,11 @@ class TestSimulate:
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--flip-times", "0"])
         assert err.value.code == 2
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["simulate", "--horizon", "1", "--flip-times", "0", "--seed", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a 64-bit unsigned integer, got -5\n"
 
     def test_duplicate_flip_times_diagnosed(self, capsys):
         code = main(["simulate", "--horizon", "1", "--flip-times", "0,0"])
@@ -212,6 +246,38 @@ class TestAnalyze:
                 "--randomize", "50", "--seed", "3", "--format", fmt]
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
+
+
+    @pytest.mark.parametrize("case,fmt", sorted(SEEDED_OUTPUT))
+    def test_seeded_log_bytes_are_pinned(self, tmp_path, capsys, case, fmt):
+        flip_text, bet_text = _seeded_logs(*SEEDED_CASES[case])
+        flips, bets = tmp_path / "flips.csv", tmp_path / "bets.csv"
+        flips.write_text(flip_text)
+        bets.write_text(bet_text)
+        argv = ["analyze", "--flips", str(flips), "--bets", str(bets), "--bias", "0.6", "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == SEEDED_OUTPUT[case, fmt]
+
+    def test_underflow_case_depends_on_the_product_order(self):
+        _, bet_text = _seeded_logs(*SEEDED_CASES["underflow"])
+        marginals = [0.6 if row.endswith("H") else 1.0 - 0.6 for row in bet_text.split()]
+        assert math.prod(marginals, start=1.0) == 0.0
+        assert math.prod(reversed(marginals), start=1.0) == 5e-324
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_seed_outside_64_bits_is_usage_error(self, paradox_files, capsys, seed):
+        flips, bets = paradox_files
+        argv = ["analyze", "--flips", str(flips), "--bets", str(bets), "--randomize", "5", "--seed", seed]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
+
+    def test_zero_randomization_trials_is_usage_error(self, paradox_files, capsys):
+        flips, bets = paradox_files
+        argv = ["analyze", "--flips", str(flips), "--bets", str(bets), "--randomize", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: randomization_trials must be None or an integer >= 1, got 0\n"
 
 
 class TestSignificance:

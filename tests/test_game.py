@@ -150,6 +150,21 @@ class TestMakeTrace:
             "bet[0] prediction is not a Face: 'H'",
         )
 
+    def test_times_that_are_not_numbers_reported_as_given(self):
+        with pytest.raises(ValidationError) as err:
+            make_trace(
+                GameConfig(horizon=3),
+                [Flip("0", H), Flip(2, T)],
+                [Bet(1, H), Bet(None, T), Bet(4, "T")],
+            )
+        assert err.value.problems == (
+            "first flip must be at time 0, got '0'",
+            "flip[0] time is not a finite number: '0'",
+            "bet[1] time is not a finite number: None",
+            "bet[2] time 4 outside [0, 3]",
+            "bet[2] prediction is not a Face: 'T'",
+        )
+
     def test_resolutions_derived_when_omitted(self, paradox_trace):
         trace = GameTrace(
             config=paradox_trace.config, flips=paradox_trace.flips, bets=paradox_trace.bets
@@ -165,6 +180,70 @@ class TestMakeTrace:
                 bets=(Bet(0.5, H),),
                 resolutions=(False,),
             )
+
+
+def _reference_problems(horizon, flips, bets):
+    """The per-record checks the package ran before its checks were
+    vectorized; defined for times that are numbers."""
+    problems = []
+    flip_times = [f.time for f in flips]
+    if not flip_times:
+        problems.append("flip schedule is empty: the game must open with a flip at time 0")
+    else:
+        if flip_times[0] != 0.0:
+            problems.append(f"first flip must be at time 0, got {flip_times[0]!r}")
+        for i, t in enumerate(flip_times):
+            if not (isinstance(t, (int, float)) and math.isfinite(t)):
+                problems.append(f"flip[{i}] time is not a finite number: {t!r}")
+            elif not (0.0 <= t <= horizon):
+                problems.append(f"flip[{i}] time {t!r} outside [0, {horizon}]")
+        for i in range(1, len(flip_times)):
+            if flip_times[i - 1] >= flip_times[i]:
+                problems.append(
+                    f"flip times must be strictly increasing: "
+                    f"flip[{i - 1}]={flip_times[i - 1]!r} >= flip[{i}]={flip_times[i]!r}"
+                )
+    for i, f in enumerate(flips):
+        if not isinstance(f.outcome, Face):
+            problems.append(f"flip[{i}] outcome is not a Face: {f.outcome!r}")
+    for i, bet in enumerate(bets):
+        t = bet.time
+        if not (isinstance(t, (int, float)) and math.isfinite(t)):
+            problems.append(f"bet[{i}] time is not a finite number: {t!r}")
+        elif not (0.0 <= t <= horizon):
+            problems.append(f"bet[{i}] time {t!r} outside [0, {horizon}]")
+        if not isinstance(bet.prediction, Face):
+            problems.append(f"bet[{i}] prediction is not a Face: {bet.prediction!r}")
+    for i in range(1, len(bets)):
+        if bets[i - 1].time > bets[i].time:
+            problems.append(
+                f"bet times must be non-decreasing: "
+                f"bet[{i - 1}]={bets[i - 1].time!r} > bet[{i}]={bets[i].time!r}"
+            )
+    return problems
+
+
+any_times = st.one_of(
+    st.integers(-2, 6),
+    st.sampled_from([0.0, -0.0, 0.5, 2.5, 5.0, -1.5, math.inf, -math.inf, math.nan]),
+)
+any_faces = st.sampled_from([H, T, H, T, "H", None])
+
+
+@given(
+    horizon=st.sampled_from([3, 4.5]),
+    flips=st.lists(st.builds(Flip, any_times, any_faces), max_size=5),
+    bets=st.lists(st.builds(Bet, any_times, any_faces), max_size=5),
+)
+def test_problems_match_the_per_record_checks(horizon, flips, bets):
+    expected = _reference_problems(horizon, flips, bets)
+    try:
+        trace = make_trace(GameConfig(horizon=horizon), flips, bets)
+    except ValidationError as err:
+        assert list(err.problems) == expected
+    else:
+        assert expected == []
+        assert trace.flips == tuple(flips) and trace.bets == tuple(bets)
 
 
 class TestSimulateGame:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import pytest
@@ -171,6 +172,21 @@ class TestAnalyze:
         assert all(r.trials == 300 for r in report.randomization)
         assert report.randomization[1].change_fraction == 0.0
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": -5},
+            {"seed": 2**64},
+            {"seed": True},
+            {"randomization_trials": 0},
+            {"randomization_trials": True},
+            {"randomization_trials": 2.5},
+        ],
+    )
+    def test_options_outside_their_domain_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            AnalysisOptions(**kwargs)
+
     @given(traces())
     def test_deflation_inequality_on_clean_records(self, trace):
         report = analyze(trace)
@@ -242,6 +258,40 @@ class TestRoundTrips:
     def test_malformed_report_document_rejected(self, doc):
         with pytest.raises(ValidationError, match="malformed report document"):
             report_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("bet_count", "x"),
+            ("wins", 2.5),
+            ("effective_events", True),
+            ("naive_compound", "0.5"),
+            ("corrected_pvalue", False),
+            ("randomization", [{"trials": True, "changed": True}]),
+            ("randomization", [{"trials": 10, "changed": 2.5}]),
+        ],
+    )
+    def test_ill_typed_report_fields_rejected(self, paradox_trace, field, value):
+        doc = report_to_dict(analyze(paradox_trace))
+        doc[field] = value
+        with pytest.raises(ValidationError, match="malformed report document: "):
+            report_from_dict(doc)
+
+    def test_trace_dict_keeps_integer_times_as_given(self):
+        # Pinned from the per-record implementation: records given with int
+        # times serialize as ints, so building records lazily from float
+        # columns must not reach a trace built from records.
+        trace = make_trace(
+            GameConfig(horizon=3),
+            [Flip(0, H), Flip(2, T)],
+            [Bet(1, H), Bet(2, T), Bet(2.5, H)],
+        )
+        assert json.dumps(trace_to_dict(trace)) == (
+            '{"config": {"horizon": 3, "coin_bias": 0.5, "seed": 0}, '
+            '"flips": [{"time": 0, "outcome": "H"}, {"time": 2, "outcome": "T"}], '
+            '"bets": [{"time": 1, "prediction": "H"}, {"time": 2, "prediction": "T"}, '
+            '{"time": 2.5, "prediction": "H"}], "resolutions": [true, true, false]}'
+        )
 
     def test_report_numbers_stay_within_12_significant_digits(self):
         trace = make_trace(

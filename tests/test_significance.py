@@ -288,6 +288,16 @@ class TestRandomizationTest:
         assert result.change_fraction == 0.0
 
 
+class TestRandomizationResult:
+    @pytest.mark.parametrize(
+        "trials,changed",
+        [(True, 0), (10, True), (10.0, 2), (10, 2.5), ("10", 2), (0, 0), (10, 11), (10, -1)],
+    )
+    def test_counts_must_be_integers_in_range(self, trials, changed):
+        with pytest.raises(DomainError):
+            RandomizationResult(trials=trials, changed=changed)
+
+
 class TestMonteCarloCompound:
     def test_paradox_estimate_near_half(self):
         mc = monte_carlo_compound(
