@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,11 +75,11 @@ class Face(enum.Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "Face":
-        """Parse the single-letter token used in CSV files ('H' or 'T')."""
+        """The face-token rule: 'H' or 'T', in either case, whitespace ignored."""
         try:
             return cls(token.strip().upper())
         except ValueError:
-            raise DomainError(f"unknown face token {token!r} (expected 'H' or 'T')") from None
+            raise DomainError(f"unknown face token {token.strip()!r} (expected 'H' or 'T')") from None
 
     @property
     def token(self) -> str:
@@ -120,29 +121,59 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        if not (_is_number(self.horizon) and math.isfinite(self.horizon)) or self.horizon <= 0:
+        if not (_is_number(self.horizon) and math.isfinite(self.horizon) and self.horizon > 0):
             problems.append(f"horizon must be a finite positive number, got {self.horizon!r}")
-        if not (_is_number(self.coin_bias) and 0.0 <= self.coin_bias <= 1.0):
-            problems.append(f"coin_bias must lie in [0, 1], got {self.coin_bias!r}")
-        if seed_problem := _seed_problem(self.seed):
-            problems.append(seed_problem)
+        _checked(problems, _probability, self.coin_bias, "coin_bias")
+        object.__setattr__(self, "seed", _checked(problems, _seed, self.seed))
         if problems:
             raise ValidationError(problems)
 
 
 def _is_number(x: object) -> bool:
+    """The real-number rule: an int or a float, never a bool."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _integer(value: object, name: str, lo: int | None = 0, hi: int | None = None) -> int:
+    """The integer rule: ``value`` as an int in ``[lo, hi]`` (``None``: unbounded).
+
+    What ``operator.index`` accepts counts, numpy integers too, but never a
+    bool: ``True`` as a count or a seed is a mistake, not the number 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if (lo is None or lo <= number) and (hi is None or number <= hi):
+                return number
+    bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise DomainError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
-def _seed_problem(seed: object) -> str | None:
-    """Why ``seed`` cannot key the random source, or None if it can."""
-    if _is_int(seed) and 0 <= seed <= _MAX_SEED:
+def _probability(value: object, name: str = "p") -> float:
+    """The probability rule: a real number in [0, 1], returned as a float."""
+    if not (_is_number(value) and 0.0 <= value <= 1.0):
+        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
+
+
+def _seed(value: object, name: str = "seed") -> int:
+    """The seed rule: an integer key of the random source, in ``[0, 2**64 - 1]``."""
+    try:
+        return _integer(value, name, 0, _MAX_SEED)
+    except DomainError:
+        raise DomainError(f"{name} must be a 64-bit unsigned integer, got {value!r}") from None
+
+
+def _checked(problems: list[str], rule: Callable, *args: object) -> object:
+    """``rule(*args)``; on a DomainError, its message goes to ``problems`` and None comes back."""
+    try:
+        return rule(*args)
+    except DomainError as exc:
+        problems.append(str(exc))
         return None
-    return f"seed must be a 64-bit unsigned integer, got {seed!r}"
 
 
 class _Columns(NamedTuple):
@@ -166,7 +197,7 @@ def _columns(times: Sequence, faces: Sequence | None = None) -> _Columns:
     times = list(times)
     numbers = times
     if not set(map(type, times)) <= {float, int}:
-        numbers = [t if isinstance(t, (int, float)) else math.nan for t in times]
+        numbers = [t if _is_number(t) else math.nan for t in times]
     codes = None
     if faces is not None:
         faces = list(faces)
@@ -236,7 +267,7 @@ def _given(columns: _Columns, i: int) -> object:
 
 
 def _time_problem(kind: str, i: int, t: object, horizon: float) -> str:
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
+    if not (_is_number(t) and math.isfinite(t)):
         return f"{kind}[{i}] time is not a finite number: {t!r}"
     return f"{kind}[{i}] time {t!r} outside [0, {horizon}]"
 
@@ -272,17 +303,6 @@ class EpochGrouping:
     def occupied_epochs(self) -> tuple[int, ...]:
         """Flip indices with at least one bet, in increasing order."""
         return tuple(self.bets_per_epoch)
-
-    def epoch_of(self, bet: Bet) -> int:
-        """Epoch index of a bet belonging to this grouping.
-
-        Raises:
-            DomainError: If the bet is not one of the grouped bets.
-        """
-        try:
-            return self.epoch_of_bet[self.bets.index(bet)]
-        except ValueError:
-            raise DomainError(f"{bet!r} does not belong to this grouping") from None
 
 
 class GameTrace:
@@ -344,7 +364,7 @@ class GameTrace:
             raise ValidationError(problems)
         flip_heads = _read_only(flips.faces == 1)
         bet_heads = _read_only(bets.faces == 1)
-        epoch = np.searchsorted(flips.times, bets.times, "right") - 1
+        epoch = _governing_flip(flips.times, bets.times)
         won = bet_heads == flip_heads[epoch]
         if resolutions is not None:
             given, derived = tuple(resolutions), tuple(won.tolist())
@@ -433,6 +453,11 @@ def _records(record: type, times: np.ndarray, heads: np.ndarray) -> Iterable:
     return map(record, times.tolist(), map(_FACES.__getitem__, heads.tolist()))
 
 
+def _governing_flip(flip_times: np.ndarray, times: object) -> np.ndarray:
+    """Index of the flip governing each time: the latest at or before it (flip-first)."""
+    return np.searchsorted(flip_times, times, "right") - 1
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -452,9 +477,9 @@ def coin_state_at(trace: GameTrace, t: float) -> Face:
     Raises:
         DomainError: If ``t`` lies outside the game window.
     """
-    if not (isinstance(t, (int, float)) and 0.0 <= t <= trace.config.horizon):
+    if not (_is_number(t) and 0.0 <= t <= trace.config.horizon):
         raise DomainError(f"time {t!r} outside the game window [0, {trace.config.horizon}]")
-    heads = trace._flip_heads[np.searchsorted(trace._flip_times, t, "right") - 1]
+    heads = trace._flip_heads[_governing_flip(trace._flip_times, t)]
     return Face.HEADS if heads else Face.TAILS
 
 

@@ -74,9 +74,13 @@ def pairwise_conditional_probability(
         raise DomainError(
             f"bet_i must not come after bet_j: {bet_i.time!r} > {bet_j.time!r}"
         )
-    epoch_i = grouping.epoch_of(bet_i)
-    epoch_j = grouping.epoch_of(bet_j)
-    if epoch_i == epoch_j:
+    epochs = []
+    for bet in (bet_i, bet_j):
+        try:
+            epochs.append(grouping.epoch_of_bet[grouping.bets.index(bet)])
+        except ValueError:
+            raise DomainError(f"{bet!r} does not belong to this grouping") from None
+    if epochs[0] == epochs[1]:
         return 1.0 if bet_i.prediction is bet_j.prediction else 0.0
     return _marginal(bet_j.prediction, coin_bias)
 

@@ -31,10 +31,11 @@ from .game import (
     Flip,
     GameConfig,
     GameTrace,
-    _is_int,
+    _checked,
+    _integer,
     _is_number,
     _records,
-    _seed_problem,
+    _seed,
 )
 from .probability import (
     effective_event_count,
@@ -89,12 +90,15 @@ class AnalysisOptions:
     def __post_init__(self) -> None:
         problems = []
         trials = self.randomization_trials
-        if trials is not None and not (_is_int(trials) and trials >= 1):
-            problems.append(f"randomization_trials must be None or an integer >= 1, got {trials!r}")
-        if seed_problem := _seed_problem(self.seed):
-            problems.append(seed_problem)
+        if trials is not None:
+            try:
+                trials = _integer(trials, "randomization_trials", 1)
+            except DomainError:
+                problems.append(f"randomization_trials must be None or an integer >= 1, got {trials!r}")
+        object.__setattr__(self, "seed", _checked(problems, _seed, self.seed))
         if problems:
             raise ValidationError(problems)
+        object.__setattr__(self, "randomization_trials", trials)
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,6 @@ class AnalysisReport:
     randomization: tuple[RandomizationResult, ...] | None = None
 
 
-_FACE_CODES = {"H": 1, "T": 0}
-
-
 def _read_log(
     path: str | Path, value_name: str, *, distinct: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -134,9 +135,9 @@ def _read_log(
     """
     path = Path(path)
     times: list[float] = []
-    heads: list[int] = []
+    heads: list[bool] = []
     lines: list[int] = []
-    codes: dict[str, int] = {}  # face token as written -> 1 heads, 0 tails, -1 unknown
+    codes: dict[str, bool] = {}  # face token as written -> heads
     with path.open(newline="", encoding="utf-8") as handle:
         for line_no, row in enumerate(csv.reader(handle), start=1):
             if len(row) != 2:
@@ -157,10 +158,10 @@ def _read_log(
                 raise CsvFormatError(problem, path=str(path), line=line_no)
             code = codes.get(face_token)
             if code is None:
-                code = codes[face_token] = _FACE_CODES.get(face_token.strip().upper(), -1)
-            if code < 0:
-                problem = f"unknown face token {face_token.strip()!r} (expected 'H' or 'T')"
-                raise CsvFormatError(problem, path=str(path), line=line_no)
+                try:
+                    code = codes[face_token] = Face.from_token(face_token) is Face.HEADS
+                except DomainError as exc:
+                    raise CsvFormatError(str(exc), path=str(path), line=line_no) from None
             times.append(t)
             heads.append(code)
             lines.append(line_no)
@@ -266,8 +267,7 @@ def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
     try:
         fields = {name: data[name] for name in _COUNT_FIELDS + _PROBABILITY_FIELDS}
         for name in _COUNT_FIELDS:
-            if not _is_int(fields[name]):
-                raise TypeError(f"{name} must be an integer, got {fields[name]!r}")
+            fields[name] = _integer(fields[name], name, None)
         for name in _PROBABILITY_FIELDS:
             if not _is_number(fields[name]):
                 raise TypeError(f"{name} must be a number, got {fields[name]!r}")
@@ -309,7 +309,8 @@ def trace_from_dict(data: dict[str, Any]) -> GameTrace:
 
     Raises:
         ValidationError: If the deserialized trace breaks any trace
-            invariant (including resolutions that contradict the flips).
+            invariant (including resolutions that contradict the flips or
+            are not JSON booleans).
     """
     try:
         config = GameConfig(
@@ -319,7 +320,9 @@ def trace_from_dict(data: dict[str, Any]) -> GameTrace:
         )
         flips = tuple(Flip(f["time"], Face(f["outcome"])) for f in data["flips"])
         bets = tuple(Bet(b["time"], Face(b["prediction"])) for b in data["bets"])
-        resolutions = tuple(bool(r) for r in data["resolutions"])
+        resolutions = tuple(data["resolutions"])
+        if not all(isinstance(r, bool) for r in resolutions):
+            raise TypeError(f"resolutions must be booleans, got {list(resolutions)!r}")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
             raise

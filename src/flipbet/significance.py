@@ -21,7 +21,6 @@ analytic compound probabilities.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -37,9 +36,13 @@ from .game import (
     GameTrace,
     _columns,
     _generator,
+    _governing_flip,
+    _integer,
     _is_number,
+    _probability,
     _record_columns,
     _schedule_problems,
+    _seed,
 )
 
 __all__ = [
@@ -72,10 +75,10 @@ def derive_seed(base_seed: int, index: int) -> int:
     SplitMix64 finalizer over ``(base_seed, index)``. Streams derived for
     distinct indices are statistically independent, and the mapping never
     depends on evaluation order, so serial and parallel runs agree.
+    ``base_seed`` is a seed in ``[0, 2**64 - 1]``, ``index`` an integer >= 0.
     """
-    base_seed, index = _integer(base_seed, "base_seed", None), _integer(index, "index", None)
-    z = (base_seed ^ _mix64(index)) & _MAX_SEED
-    return _mix64(z)
+    base_seed, index = _seed(base_seed, "base_seed"), _integer(index, "index")
+    return _mix64(base_seed ^ _mix64(index))
 
 
 def _mix64(z: int) -> int:
@@ -83,30 +86,6 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MAX_SEED
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MAX_SEED
     return z ^ (z >> 31)
-
-
-def _integer(value: object, name: str, lo: int | None = 0, hi: int | None = None) -> int:
-    """``value`` as an int in ``[lo, hi]`` (``None``: unbounded), else DomainError.
-
-    A bool is rejected although it is an int: ``True`` as a count or a
-    seed is a caller's mistake, not the number 1.
-    """
-    if not isinstance(value, bool):
-        try:
-            index = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if (lo is None or lo <= index) and (hi is None or index <= hi):
-                return index
-    bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
-    raise DomainError(f"{name} must be an integer{bounds}, got {value!r}")
-
-
-def _check_probability(p: float, name: str = "p") -> float:
-    if not (_is_number(p) and 0.0 <= p <= 1.0):
-        raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
-    return float(p)
 
 
 @dataclass(frozen=True)
@@ -122,7 +101,9 @@ class RandomizationResult:
     changed: int
 
     def __post_init__(self) -> None:
-        _integer(self.changed, "changed", 0, _integer(self.trials, "trials", 1))
+        trials = _integer(self.trials, "trials", 1)
+        object.__setattr__(self, "changed", _integer(self.changed, "changed", 0, trials))
+        object.__setattr__(self, "trials", trials)
 
     @property
     def change_fraction(self) -> float:
@@ -157,7 +138,7 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
     """
     n = _integer(n, "n")
     k = _integer(k, "k", 0, n)
-    p = _check_probability(p)
+    p = _probability(p)
     if p == 0.0:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
@@ -230,7 +211,7 @@ def losing_probability(n: int, p: float) -> float:
         DomainError: If n < 1 or p outside [0, 1].
     """
     n = _integer(n, "n", 1)
-    p = _check_probability(p)
+    p = _probability(p)
     return _binomial_tail(0, (n + 1) // 2 - 1, n, p)
 
 
@@ -286,7 +267,7 @@ def randomization_test(
     """
     bet_index = _integer(bet_index, "bet_index", 0, len(trace._bet_times) - 1)
     trials = _integer(trials, "trials", 1)
-    seed = _integer(seed, "seed", 0, _MAX_SEED)
+    seed = _seed(seed)
     if interval is None:
         lo = trace._bet_times[bet_index - 1].item() if bet_index > 0 else 0.0
         hi = trace._bet_times[bet_index].item()
@@ -300,7 +281,7 @@ def randomization_test(
             f"interval ({lo!r}, {hi!r}) must satisfy 0 <= lo <= hi <= horizon"
         )
     draws = _generator(seed).uniform(lo, hi, trials)
-    epochs = np.searchsorted(trace._flip_times, draws, "right") - 1
+    epochs = _governing_flip(trace._flip_times, draws)
     # Same prediction, so the outcome changes exactly where the coin shows
     # another face than in the bet's own epoch.
     own_face = trace._flip_heads[trace._epoch[bet_index]]
@@ -335,7 +316,7 @@ def monte_carlo_compound(
         ValidationError: Same schedule checks as the simulator.
     """
     trials = _integer(trials, "trials", 1)
-    base_seed = _integer(base_seed, "base_seed", 0, _MAX_SEED)
+    base_seed = _seed(base_seed, "base_seed")
     bets = tuple(bet_plan)
     flips = _columns(flip_times)
     problems = _schedule_problems(config.horizon, flips, _record_columns(bets, "prediction"))

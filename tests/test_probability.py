@@ -108,8 +108,10 @@ class TestPairwiseConditional:
 
     def test_foreign_bet_rejected(self, paradox_trace):
         grouping = group_by_epoch(paradox_trace)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"Bet\(time=0.1, .* does not belong to this grouping"):
             pairwise_conditional_probability(Bet(0.1, T), paradox_trace.bets[1], grouping)
+        with pytest.raises(DomainError, match=r"Bet\(time=0.9, .* does not belong to this grouping"):
+            pairwise_conditional_probability(paradox_trace.bets[0], Bet(0.9, H), grouping)
 
     def test_wrong_order_rejected(self, paradox_trace):
         grouping = group_by_epoch(paradox_trace)

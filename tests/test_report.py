@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -253,6 +254,18 @@ class TestRoundTrips:
     def test_malformed_trace_document_rejected(self):
         with pytest.raises(ValidationError, match="malformed"):
             trace_from_dict({"config": {}})
+
+    @pytest.mark.parametrize("resolutions", [["yes", 0], [1, 1]])
+    def test_resolutions_must_be_json_booleans(self, paradox_trace, resolutions):
+        doc = trace_to_dict(paradox_trace)
+        doc["resolutions"] = resolutions
+        with pytest.raises(ValidationError, match="malformed trace document: resolutions"):
+            trace_from_dict(doc)
+
+    def test_numpy_seed_is_written_as_an_int(self):
+        trace = make_trace(GameConfig(horizon=1.0, seed=np.uint64(3)), [Flip(0.0, H)], [])
+        config = json.dumps(trace_to_dict(trace)["config"])
+        assert config == '{"horizon": 1.0, "coin_bias": 0.5, "seed": 3}'
 
     @pytest.mark.parametrize("doc", [{}, {"randomization": 5}])
     def test_malformed_report_document_rejected(self, doc):

@@ -426,3 +426,13 @@ class TestDeriveSeed:
     def test_distinct_indices_distinct_streams(self):
         seen = {derive_seed(7, i) for i in range(1000)}
         assert len(seen) == 1000
+
+    @pytest.mark.parametrize("base_seed", [-5, 2**64, 2**70])
+    def test_base_seed_outside_64_bits_rejected(self, base_seed):
+        # Masking -5 into 64 bits would give it the stream of 2**64 - 5.
+        with pytest.raises(DomainError, match="base_seed must be a 64-bit unsigned integer"):
+            derive_seed(base_seed, 0)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(DomainError, match="index must be an integer >= 0, got -1"):
+            derive_seed(7, -1)
