@@ -19,15 +19,8 @@ import sys
 from pathlib import Path
 
 from .errors import FlipBetError
-from .game import Bet, Face, Flip, GameConfig, GameTrace, _Columns, make_trace, simulate_game
-from .report import (
-    AnalysisOptions,
-    _read_log,
-    analyze,
-    load_bets,
-    report_to_dict,
-    trace_to_dict,
-)
+from .game import Bet, Face, Flip, GameConfig, GameTrace, _Columns, _columns, _simulate, make_trace
+from .report import AnalysisOptions, _read_log, _trace_json, analyze, report_to_dict, trace_to_dict
 from .significance import losing_probability, random_reproduction_pvalue, randomization_test
 
 __all__ = ["main", "entrypoint"]
@@ -104,9 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = GameConfig(horizon=args.horizon, coin_bias=args.bias, seed=args.seed)
-    bets = load_bets(args.bets) if args.bets is not None else []
-    trace = simulate_game(config, args.flip_times, bets)
-    text = json.dumps(trace_to_dict(trace), indent=2)
+    bets = _columns([], [])
+    if args.bets is not None:
+        bets = _Columns(*_read_log(args.bets, "prediction"))
+    trace = _simulate(config, _columns(args.flip_times), bets)
+    text = _trace_json(trace)
     if args.out is not None:
         args.out.write_text(text + "\n", encoding="utf-8")
     else:

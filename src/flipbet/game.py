@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -130,8 +131,11 @@ class GameConfig:
 
 
 def _is_number(x: object) -> bool:
-    """The real-number rule: an int or a float, never a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """The real-number rule: an int or a float, never a bool, and never an int
+    larger in magnitude than the largest float (it has no float value)."""
+    if isinstance(x, float):
+        return True
+    return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _integer(value: object, name: str, lo: int | None = 0, hi: int | None = None) -> int:
@@ -195,9 +199,6 @@ class _Columns(NamedTuple):
 def _columns(times: Sequence, faces: Sequence | None = None) -> _Columns:
     """Columns of given times and faces; the per-value type checks happen here."""
     times = list(times)
-    numbers = times
-    if not set(map(type, times)) <= {float, int}:
-        numbers = [t if _is_number(t) else math.nan for t in times]
     codes = None
     if faces is not None:
         faces = list(faces)
@@ -206,7 +207,17 @@ def _columns(times: Sequence, faces: Sequence | None = None) -> _Columns:
             np.int8,
             len(faces),
         )
-    return _Columns(np.array(numbers, dtype=float), codes, times, faces)
+    return _Columns(_numbers(times), codes, times, faces)
+
+
+def _numbers(values: list) -> np.ndarray:
+    """A float column of ``values``, NaN where a value breaks the real-number rule."""
+    if set(map(type, values)) <= {float, int}:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:  # an int too large for a float
+            pass
+    return np.array([v if _is_number(v) else math.nan for v in values], dtype=float)
 
 
 def _record_columns(records: tuple, face: str) -> _Columns:
@@ -368,6 +379,8 @@ class GameTrace:
         won = bet_heads == flip_heads[epoch]
         if resolutions is not None:
             given, derived = tuple(resolutions), tuple(won.tolist())
+            if not all(isinstance(r, (bool, np.bool_)) for r in given):
+                raise ValidationError(f"resolutions must be booleans, got {list(given)!r}")
             if len(given) != len(derived):
                 raise ValidationError(f"expected {len(derived)} resolutions, got {len(given)}")
             if given != derived:
@@ -509,12 +522,13 @@ def simulate_game(
             duplicate flip times, missing time-0 flip, out-of-range times,
             predictions that are not a :class:`Face`).
     """
-    bets = tuple(bet_plan)
-    flips = _columns(flip_times)
+    return _simulate(config, _columns(flip_times), _record_columns(tuple(bet_plan), "prediction"))
+
+
+def _simulate(config: GameConfig, flips: _Columns, bets: _Columns) -> GameTrace:
+    """The simulator's column core: draw the flip outcomes, then build the trace."""
     heads = _generator(config.seed).random(len(flips.times)) < config.coin_bias
-    return GameTrace._from_columns(
-        config, flips._replace(faces=heads), _record_columns(bets, "prediction")
-    )
+    return GameTrace._from_columns(config, flips._replace(faces=heads), bets)
 
 
 def make_trace(

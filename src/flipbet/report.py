@@ -16,11 +16,12 @@ re-parsing a report reproduces it exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -31,9 +32,10 @@ from .game import (
     Flip,
     GameConfig,
     GameTrace,
+    _FACES,
     _checked,
     _integer,
-    _is_number,
+    _probability,
     _records,
     _seed,
 )
@@ -129,16 +131,102 @@ def _read_log(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column time/face CSV into (times, heads) columns.
 
-    Rows are checked as they are read, so the error raised is the first
-    offending row's, with its line. Rows are then stably sorted by time, so
-    equal times keep file order; with ``distinct``, equal times are an error.
+    The file is read once, so a pipe works as a log. A log in the common
+    subset of the grammar is parsed without a per-row loop
+    (:func:`_subset_columns`); any other log goes through the per-row
+    reader, the one source of error messages. Rows are then stably sorted
+    by time, so equal times keep file order; with ``distinct``, equal
+    times are an error.
     """
     path = Path(path)
+    data = path.read_bytes()
+    columns = _subset_columns(data)
+    if columns is None:
+        columns = _read_rows(path, data, value_name)
+    t, is_heads, lines = columns  # lines[i]: the line of row i
+    order = None
+    if (t[1:] < t[:-1]).any():
+        order = np.argsort(t, kind="stable")
+        t, is_heads = t[order], is_heads[order]
+    equal = t[1:] == t[:-1]
+    if distinct and equal.any():
+        i = int(equal.argmax()) + 1
+        problem = f"duplicate flip time {t[i].item()!r}"
+        line = lines[i if order is None else int(order[i])]
+        raise CsvFormatError(problem, path=str(path), line=line)
+    return t, is_heads
+
+
+def _subset_columns(data: bytes) -> tuple[np.ndarray, np.ndarray, range] | None:
+    """The columns of a log in the common subset of the grammar, or None.
+
+    The subset: rows ``digits[.digits],H`` or ``digits[.digits],T``, LF or
+    CRLF line ends with the last one optional, and an optional header on
+    line 1 that the per-row reader's own rule recognises. Such a log has
+    none of the forms that reader treats specially (blank lines, quoting,
+    padding, lowercase faces, exponents, ``nan``...), so row i is the row
+    that reader reads from line i + 1 + header. Byte operations check the
+    subset; numpy parses the times, and each face is the byte before its
+    line end.
+    """
+    if b"\r" in data:  # a one-byte search is a memchr, cheaper than a replace that finds nothing
+        data = data.replace(b"\r\n", b"\n")  # a lone CR is left to fail the checks below
+    end = data.find(b"\n")
+    header = _is_header(data if end < 0 else data[:end])
+    if header:
+        data = data[end + 1 :] if end >= 0 else b""
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    rows = data.count(b"\n")
+    # Without its digits, and with each fraction's dot folded into the comma
+    # after it, a log in the subset is one ",H\n" or ",T\n" per row.
+    skeleton = data.translate(None, b"0123456789").replace(b".,", b",")
+    empty_runs = (b"\n,", b"\n.", b".,") if b"." in data else (b"\n,",)
+    if not (
+        len(skeleton) == 3 * rows
+        and skeleton.count(b",H\n") + skeleton.count(b",T\n") == rows
+        and data.count(b",H\n") + data.count(b",T\n") == rows  # no digit after a comma
+        and not data.startswith((b".", b","))
+        and not any(empty in data for empty in empty_runs)  # no empty digit run
+    ):
+        return None
+    lines = range(1 + header, 1 + header + rows)
+    if not rows:
+        return np.empty(0), np.empty(0, dtype=bool), lines
+    times = np.loadtxt(
+        io.BytesIO(data), delimiter=",", usecols=0, comments=None, quotechar=None, ndmin=1
+    )
+    if not np.isfinite(times).all():
+        return None  # too many digits for a float: the per-row reader reports the row
+    return times, np.frombuffer(skeleton, np.uint8)[1::3] == ord("H"), lines
+
+
+def _is_header(line: bytes) -> bool:
+    """The per-row reader's header rule for a line 1 without quoting or
+    non-ASCII bytes: two fields, the first not a number."""
+    if not line.isascii():
+        return False
+    text = line.decode()
+    if not text.isprintable() or '"' in text or text.count(",") != 1:
+        return False
+    try:
+        float(text.split(",")[0])
+    except ValueError:
+        return True
+    return False
+
+
+def _read_rows(path: Path, data: bytes, value_name: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The per-row reader: every form of the grammar, and every error.
+
+    Rows are checked as they are read, so the error raised is the first
+    offending row's, with its line.
+    """
     times: list[float] = []
     heads: list[bool] = []
     lines: list[int] = []
     codes: dict[str, bool] = {}  # face token as written -> heads
-    with path.open(newline="", encoding="utf-8") as handle:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as handle:
         for line_no, row in enumerate(csv.reader(handle), start=1):
             if len(row) != 2:
                 if not row or (len(row) == 1 and not row[0].strip()):
@@ -165,16 +253,7 @@ def _read_log(
             times.append(t)
             heads.append(code)
             lines.append(line_no)
-    t, is_heads, line_of = np.array(times, dtype=float), np.array(heads, dtype=bool), lines
-    if (t[1:] < t[:-1]).any():
-        order = np.argsort(t, kind="stable")
-        t, is_heads, line_of = t[order], is_heads[order], np.array(lines)[order]
-    equal = t[1:] == t[:-1]
-    if distinct and equal.any():
-        i = int(equal.argmax()) + 1
-        problem = f"duplicate flip time {t[i].item()!r}"
-        raise CsvFormatError(problem, path=str(path), line=int(line_of[i]))
-    return t, is_heads
+    return np.array(times, dtype=float), np.array(heads, dtype=bool), lines
 
 
 def load_flips(path: str | Path) -> list[Flip]:
@@ -261,16 +340,16 @@ def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
     serialized report parses back to exactly the report it came from.
 
     Raises:
-        ValidationError: If a field is missing or has the wrong type: counts
-            must be integers and probabilities numbers, neither a bool.
+        ValidationError: If a field is missing or out of its domain: counts
+            must be integers >= 0 and probabilities numbers in [0, 1],
+            neither a bool.
     """
     try:
         fields = {name: data[name] for name in _COUNT_FIELDS + _PROBABILITY_FIELDS}
         for name in _COUNT_FIELDS:
-            fields[name] = _integer(fields[name], name, None)
+            fields[name] = _integer(fields[name], name)
         for name in _PROBABILITY_FIELDS:
-            if not _is_number(fields[name]):
-                raise TypeError(f"{name} must be a number, got {fields[name]!r}")
+            _probability(fields[name], name)
         randomization = None
         if data.get("randomization") is not None:
             randomization = tuple(
@@ -302,6 +381,60 @@ def trace_to_dict(trace: GameTrace) -> dict[str, Any]:
         "bets": [{"time": b.time, "prediction": b.prediction.token} for b in trace.bets],
         "resolutions": list(trace.resolutions),
     }
+
+
+_TRACE_JSON = """\
+{{
+  "config": {{
+    "horizon": {},
+    "coin_bias": {},
+    "seed": {}
+  }},
+  "flips": {},
+  "bets": {},
+  "resolutions": {}
+}}"""
+
+
+def _trace_json(trace: GameTrace) -> str:
+    """``json.dumps(trace_to_dict(trace), indent=2)``, written from the columns.
+
+    The C encoder writes each column's scalars and a fixed template joins
+    them, so no record or dict is built per row. A trace built from
+    records writes its caller's times, as :func:`trace_to_dict` does.
+    """
+    config = trace.config
+    return _TRACE_JSON.format(
+        *map(json.dumps, (config.horizon, config.coin_bias, config.seed)),
+        _json_rows("outcome", _given_times(trace, "flips", trace._flip_times), trace._flip_heads),
+        _json_rows("prediction", _given_times(trace, "bets", trace._bet_times), trace._bet_heads),
+        _json_list(map("    ".__add__, _scalars(trace._won.tolist()))),
+    )
+
+
+def _given_times(trace: GameTrace, name: str, column: np.ndarray) -> list:
+    """The times of ``trace.flips`` or ``trace.bets`` without building those records."""
+    records = vars(trace).get(name)  # kept as the caller gave them, or cached
+    return column.tolist() if records is None else [r.time for r in records]
+
+
+def _scalars(values: list) -> list[str]:
+    """Each value as the JSON encoder writes it."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _json_rows(face_name: str, times: list, heads: np.ndarray) -> str:
+    """A trace document's list of ``{"time": ..., face_name: ...}`` objects."""
+    opening = '    {\n      "time": '
+    closings = [f',\n      "{face_name}": "{face.token}"\n    }}' for face in _FACES]
+    rows = map(str.__add__, _scalars(times), map(closings.__getitem__, heads.tolist()))
+    return _json_list(map(opening.__add__, rows))
+
+
+def _json_list(items: Iterable[str]) -> str:
+    """A list of written items, one level deep in an ``indent=2`` document."""
+    body = ",\n".join(items)
+    return f"[\n{body}\n  ]" if body else "[]"
 
 
 def trace_from_dict(data: dict[str, Any]) -> GameTrace:

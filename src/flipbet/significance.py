@@ -134,9 +134,10 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
     otherwise, so the result stays accurate for any n.
 
     Raises:
-        DomainError: If k is outside [0, n] or p outside [0, 1].
+        DomainError: If k is outside [0, n], n is too large for a float,
+            or p is outside [0, 1].
     """
-    n = _integer(n, "n")
+    n = _trial_count(n, "n")
     k = _integer(k, "k", 0, n)
     p = _probability(p)
     if p == 0.0:
@@ -155,6 +156,15 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
         + log_q_part
     )
     return math.exp(log_pmf)
+
+
+def _trial_count(value: object, name: str, lo: int = 0) -> int:
+    """The integer rule for a binomial trial count, which must also be a real
+    number: an int too large for a float has no float to compute with."""
+    n = _integer(value, name, lo)
+    if not _is_number(n):
+        raise DomainError(f"{name} must be an integer a float can hold, got {n!r}")
+    return n
 
 
 def _binomial_tail(lo: int, hi: int, n: int, p: float) -> float:
@@ -208,9 +218,9 @@ def losing_probability(n: int, p: float) -> float:
     is what separates a real edge from a lucky streak.
 
     Raises:
-        DomainError: If n < 1 or p outside [0, 1].
+        DomainError: If n < 1, n is too large for a float, or p outside [0, 1].
     """
-    n = _integer(n, "n", 1)
+    n = _trial_count(n, "n", 1)
     p = _probability(p)
     return _binomial_tail(0, (n + 1) // 2 - 1, n, p)
 
@@ -225,9 +235,10 @@ def random_reproduction_pvalue(k_wins: int, m_effective: int) -> float:
     when the record holds no events at all.
 
     Raises:
-        DomainError: If k_wins is negative or exceeds m_effective.
+        DomainError: If k_wins is negative or exceeds m_effective, or
+            m_effective is too large for a float.
     """
-    m_effective = _integer(m_effective, "m_effective")
+    m_effective = _trial_count(m_effective, "m_effective")
     k_wins = _integer(k_wins, "k_wins", 0, m_effective)
     if k_wins == 0:
         return 1.0

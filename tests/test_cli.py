@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -156,6 +157,23 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
         doc = json.loads(out.read_text())
         assert [f["time"] for f in doc["flips"]] == [0.0, 0.5]
+
+    def test_out_file_bytes_are_pinned(self, tmp_path):
+        # Pinned from the per-record implementation (indented json.dumps of
+        # trace_to_dict): 50 flips, a seeded 2000-bet log with a header.
+        _, bet_text = _seeded_logs(13, 50, 2000, False)
+        bets, out = tmp_path / "bets.csv", tmp_path / "trace.json"
+        bets.write_text("time,prediction\n" + bet_text)
+        flip_times = ",".join(str(10 * k) for k in range(50))
+        argv = ["simulate", "--horizon", "500", "--flip-times", flip_times, "--bias", "0.6",
+                "--seed", "13", "--bets", str(bets), "--out", str(out)]
+        assert main(argv) == 0
+        data = out.read_bytes()
+        assert data.startswith(b'{\n  "config": {\n    "horizon": 500.0,\n    "coin_bias": 0.6,\n')
+        assert len(data) == 140206
+        assert hashlib.sha256(data).hexdigest() == (
+            "e70ccefdb7af2fba6d862f1134be097b56fd7bb0970c1645091170801a7100f5"
+        )
 
     def test_missing_horizon_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -149,3 +149,50 @@ class TestBoolIsNotATime:
         with pytest.raises(ValidationError) as err:
             monte_carlo_compound(CONFIG, [0.0, True], [Bet(0.5, H)], trials=10, base_seed=0)
         assert err.value.problems == ("flip[1] time is not a finite number: True",)
+
+
+HUGE = 10**400  # an int with no float value: float(HUGE) overflows
+
+
+@pytest.mark.parametrize("parameter", REAL_PARAMETERS)
+def test_real_parameter_rejects_an_int_too_large_for_a_float(parameter):
+    with pytest.raises(FlipBetError):
+        REAL_PARAMETERS[parameter](HUGE)
+
+
+class TestIntTooLargeForAFloat:
+    def test_game_config_lists_the_horizon(self):
+        with pytest.raises(ValidationError) as err:
+            GameConfig(horizon=HUGE)
+        assert err.value.problems == (f"horizon must be a finite positive number, got {HUGE!r}",)
+
+    def test_make_trace_lists_each_time(self):
+        with pytest.raises(ValidationError) as err:
+            make_trace(CONFIG, [Flip(0.0, H), Flip(HUGE, T)], [Bet(HUGE, T)])
+        assert err.value.problems == (
+            f"flip[1] time is not a finite number: {HUGE!r}",
+            f"bet[0] time is not a finite number: {HUGE!r}",
+        )
+
+    def test_trace_from_dict_lists_the_time(self):
+        with pytest.raises(ValidationError) as err:
+            trace_from_dict(_trace_doc_with_bet_time(HUGE))
+        assert err.value.problems == (f"bet[0] time is not a finite number: {HUGE!r}",)
+
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda: binomial_pmf(1, HUGE, 0.5), "n"),
+            (lambda: losing_probability(HUGE, 0.6), "n"),
+            (lambda: random_reproduction_pvalue(1, HUGE), "m_effective"),
+        ],
+        ids=["binomial_pmf", "losing_probability", "random_reproduction_pvalue"],
+    )
+    def test_binomial_trial_count_rejected(self, call, name):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer a float can hold, got 1"):
+            call()
+
+    def test_largest_float_as_an_int_is_still_a_number(self):
+        # The bound is the largest float itself, so every int a float holds passes.
+        horizon = int(1.7976931348623157e308)
+        assert GameConfig(horizon=horizon).horizon == horizon

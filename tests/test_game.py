@@ -181,6 +181,26 @@ class TestMakeTrace:
                 resolutions=(False,),
             )
 
+    @pytest.mark.parametrize("resolutions", [[1], [1.0], ["yes"]], ids=repr)
+    def test_resolutions_that_are_not_booleans_rejected(self, paradox_trace, resolutions):
+        # 1 == True, so only the type check tells these apart from a match.
+        with pytest.raises(ValidationError, match=r"^resolutions must be booleans, got \["):
+            GameTrace(
+                config=paradox_trace.config,
+                flips=paradox_trace.flips,
+                bets=paradox_trace.bets[:1],
+                resolutions=resolutions,
+            )
+
+    def test_numpy_booleans_are_booleans(self, paradox_trace):
+        trace = GameTrace(
+            config=paradox_trace.config,
+            flips=paradox_trace.flips,
+            bets=paradox_trace.bets,
+            resolutions=np.array([True, True]),
+        )
+        assert trace == paradox_trace
+
 
 def _reference_problems(horizon, flips, bets):
     """The per-record checks the package ran before its checks were

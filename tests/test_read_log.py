@@ -2,7 +2,9 @@
 
 ``_reference_rows`` is the row-by-row parser the package used before its
 reader became columnar; the reader must accept, order and reject exactly
-what it does, with the same messages and line numbers.
+what it does, with the same messages and line numbers. Logs in the common
+subset of the grammar take the reader's path without a per-row loop, every
+other log its per-row path; both are checked against the reference.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ import os
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipbet import Bet, CsvFormatError, Face, Flip, load_bets, load_flips
 from flipbet import report
+from flipbet.cli import main
 
 
 def _reference_rows(path: Path, value_name: str) -> list[tuple[float, Face, int]]:
@@ -70,11 +74,13 @@ def _reference_flips(path: Path) -> list[Flip]:
 
 
 def _outcome(read, path: Path):
-    """A reader's result, or its error's message and line."""
+    """A reader's result, or its error's message and line (or decoding error)."""
     try:
         return read(path)
     except CsvFormatError as err:
         return ("error", str(err), err.line)
+    except UnicodeDecodeError as err:
+        return ("undecodable", str(err))
 
 
 pads = st.sampled_from(["", " ", "  ", "\t"])
@@ -131,9 +137,9 @@ def log_files(draw, max_rows: int = 40, bad: bool = False) -> str:
     return newline.join(lines) + (newline if draw(st.booleans()) else "")
 
 
-def _check_against_reference(tmp_path: Path, text: str) -> None:
+def _check_against_reference(tmp_path: Path, text: str | bytes) -> None:
     path = tmp_path / "log.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
     expected_bets = _outcome(
         lambda p: [Bet(t, face) for t, face, _ in _reference_rows(p, "prediction")], path
     )
@@ -212,3 +218,158 @@ def test_a_log_that_can_be_read_only_once_reports_its_error(tmp_path, text, mess
     reader.join(timeout=10)
     assert not reader.is_alive(), "the reader opened the log a second time"
     assert [str(err) for err in errors] == [f"{path}:2: {message}"]
+
+
+# -- the common subset: rows digits[.digits],H|T; LF or CRLF; optional header
+
+DIGITS = "0123456789"
+
+
+@st.composite
+def subset_times(draw) -> str:
+    whole = draw(
+        st.one_of(
+            st.integers(0, 12).map(str),
+            st.integers(0, 10**30).map(str),
+            st.text(DIGITS, min_size=1, max_size=25),  # leading zeros too
+            st.sampled_from(["9007199254740993", "179769313486231570" + "0" * 291]),
+        )
+    )
+    if draw(st.booleans()):
+        return whole
+    if draw(st.booleans()):
+        fraction = draw(st.text(DIGITS, min_size=1, max_size=30))
+    else:
+        # A double's digits, then digits that put the value at, just below or
+        # just above a rounding boundary.
+        fraction = f"{draw(st.floats(0.0, 1.0)):.17f}"[2:] + draw(st.sampled_from(["", "5", "49", "51"]))
+    return f"{whole}.{fraction}"
+
+
+@st.composite
+def subset_logs(draw) -> str:
+    rows = [
+        [draw(subset_times()), draw(st.sampled_from("HT"))]
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):  # equal (duplicate) times
+        twin = [draw(st.sampled_from(rows))[0], draw(st.sampled_from("HT"))]
+        rows.insert(draw(st.integers(0, len(rows))), twin)
+    lines = [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["time,prediction", "t,  x", ",face", "1x,H"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=subset_logs())
+def test_subset_logs_take_the_fast_path_and_match_the_reference(tmp_path_factory, text):
+    assert report._subset_columns(text.encode()) is not None
+    _check_against_reference(tmp_path_factory.mktemp("log"), text)
+
+
+SUBSET_LOG = "time,prediction\n0,H\n2.5,T\n2.5,H\n1,T\n"
+
+
+# The subset log above with exactly one form outside the subset.
+OUTSIDE_SUBSET = {
+    "quoted-time": '0,H\n"2.5",T\n1,T\n',
+    "quoted-face": '0,H\n2.5,"T"\n1,T\n',
+    "quoted-header": '"time","prediction"\n0,H\n2.5,T\n1,T\n',
+    "padded-time": "0,H\n 2.5,T\n1,T\n",
+    "padded-face": "0,H\n2.5,T \n1,T\n",
+    "tab": "0,H\n2.5\t,T\n1,T\n",
+    "lowercase-face": "0,H\n2.5,t\n1,T\n",
+    "blank-line": "0,H\n\n2.5,T\n1,T\n",
+    "whitespace-line": "0,H\n   \n2.5,T\n1,T\n",
+    "underscore": "0,H\n1_000,T\n1,T\n",
+    "exponent": "0,H\n1e3,T\n1,T\n",
+    "leading-dot": "0,H\n.5,T\n1,T\n",
+    "leading-dot-on-line-1": ".5,H\n1,T\n",
+    "trailing-dot": "0,H\n5.,T\n1,T\n",
+    "nan": "0,H\nnan,T\n1,T\n",
+    "inf": "0,H\ninf,T\n1,T\n",
+    "overflow": "0,H\n" + "9" * 400 + ",T\n1,T\n",
+    "negative": "0,H\n-1,T\n1,T\n",
+    "bom": "\ufefftime,prediction\n0,H\n2.5,T\n1,T\n",
+    "non-ascii-header": "zeit,münze\n0,H\n2.5,T\n1,T\n",
+    "invalid-utf8": b"0,H\n2.5,T\xff\n1,T\n",
+    "lone-cr": "0,H\r2.5,T\r1,T\r",
+    "mixed-cr": "0,H\r\n2.5,T\r1,T\n",
+    "header-on-line-2": "0,H\ntime,prediction\n1,T\n",
+    "header-one-field": "time\n0,H\n1,T\n",
+    "three-fields": "0,H\n2.5,T,x\n1,T\n",
+    "one-field": "0,H\n2.5\n1,T\n",
+    "unknown-face": "0,H\n2.5,X\n1,T\n",
+    "digit-before-face": "0,H\n2.5,1T\n1,T\n",
+    "digit-after-face": "0,H\n2.5,T1\n1,T\n",
+    "empty-time": "0,H\n,T\n1,T\n",
+    "empty-time-after-header": "time,prediction\n,T\n1,T\n",
+    "cr-before-crlf": "0,H\r\r\n1,T\r\n",
+    "duplicate-flip-time-bad-row": "1,H\n1,T\n2,Q\n",
+}
+
+
+def test_subset_log_takes_the_fast_path():
+    assert report._subset_columns(SUBSET_LOG.encode()) is not None
+
+
+@pytest.mark.parametrize("text", OUTSIDE_SUBSET.values(), ids=OUTSIDE_SUBSET)
+def test_each_form_outside_the_subset_goes_to_the_per_row_reader(tmp_path, text):
+    data = text.encode("utf-8") if isinstance(text, str) else text
+    assert report._subset_columns(data) is None
+    _check_against_reference(tmp_path, data)
+
+
+def _benchmark_shaped_log(n_rows: int, seed: int) -> str:
+    """A header and sorted integer times, LF line ends, as the benchmark writes them."""
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.integers(0, 10**9, n_rows)).tolist()
+    faces = rng.choice(["H", "T"], n_rows).tolist()
+    return "time,prediction\n" + "".join(f"{t},{f}\n" for t, f in zip(times, faces))
+
+
+def test_benchmark_shaped_log_takes_the_fast_path(tmp_path, monkeypatch):
+    path = tmp_path / "bets.csv"
+    path.write_text(_benchmark_shaped_log(2000, seed=3))
+    expected = _reference_rows(path, "prediction")
+
+    def no_per_row_reader(*args, **kwargs):
+        raise AssertionError("the per-row reader ran")
+
+    monkeypatch.setattr(report.csv, "reader", no_per_row_reader)
+    times, heads = report._read_log(path, "prediction")
+    assert times.tolist() == [t for t, _, _ in expected]
+    assert heads.tolist() == [face is Face.HEADS for _, face, _ in expected]
+
+
+def _through_a_fifo(tmp_path: Path, text: str, read):
+    """``read(path)`` on a named pipe that receives ``text`` once."""
+    path = tmp_path / "log.fifo"
+    os.mkfifo(path)
+    results = []
+    reader = threading.Thread(target=lambda: results.append(read(path)), daemon=True)
+    reader.start()
+    path.write_text(text)  # returns once the reader has opened the pipe
+    reader.join(timeout=10)
+    assert not reader.is_alive(), "the reader opened the log a second time"
+    return results[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_subset_log_read_from_a_fifo(tmp_path):
+    times, heads = _through_a_fifo(tmp_path, SUBSET_LOG, lambda p: report._read_log(p, "prediction"))
+    assert times.tolist() == [0.0, 1.0, 2.5, 2.5]
+    assert heads.tolist() == [True, False, False, True]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_simulate_reads_its_bets_from_a_fifo(tmp_path):
+    argv = ["simulate", "--horizon", "3", "--flip-times", "0,2", "--seed", "5"]
+    regular = tmp_path / "bets.csv"
+    regular.write_text(SUBSET_LOG)
+    assert main([*argv, "--bets", str(regular), "--out", str(tmp_path / "a.json")]) == 0
+    out = tmp_path / "b.json"
+    assert _through_a_fifo(tmp_path, SUBSET_LOG, lambda p: main([*argv, "--bets", str(p), "--out", str(out)])) == 0
+    assert out.read_bytes() == (tmp_path / "a.json").read_bytes()

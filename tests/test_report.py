@@ -7,7 +7,8 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipbet import (
     AnalysisOptions,
@@ -28,7 +29,9 @@ from flipbet import (
     trace_from_dict,
     trace_to_dict,
 )
-from conftest import traces
+from conftest import game_inputs, traces
+from flipbet.game import simulate_game
+from flipbet.report import _trace_json
 
 H, T = Face.HEADS, Face.TAILS
 
@@ -282,6 +285,8 @@ class TestRoundTrips:
             ("corrected_pvalue", False),
             ("randomization", [{"trials": True, "changed": True}]),
             ("randomization", [{"trials": 10, "changed": 2.5}]),
+            ("bet_count", -3),
+            ("naive_pvalue", 7.5),
         ],
     )
     def test_ill_typed_report_fields_rejected(self, paradox_trace, field, value):
@@ -315,3 +320,41 @@ class TestRoundTrips:
         doc = report_to_dict(analyze(trace))
         for name in ("naive_compound", "true_compound", "naive_pvalue", "corrected_pvalue"):
             assert float(f"{doc[name]:.12g}") == doc[name]
+
+
+def _indented_dump(trace) -> str:
+    return json.dumps(trace_to_dict(trace), indent=2)
+
+
+class TestTraceJson:
+    """The column writer of ``flipbet simulate`` against the indented dump of
+    :func:`trace_to_dict`, which stays the library's reference form."""
+
+    @given(trace=traces(max_flips=6, max_bets=8))
+    def test_record_built_trace(self, trace):
+        assert _trace_json(trace) == _indented_dump(trace)
+
+    @settings(deadline=None)
+    @given(inputs=game_inputs(max_flips=6, max_bets=8), cached=st.booleans())
+    def test_column_built_trace(self, inputs, cached):
+        trace = simulate_game(*inputs)
+        if cached:
+            trace.flips, trace.bets  # records built from the columns and cached
+        assert _trace_json(trace) == _indented_dump(trace)
+
+    def test_integer_times_and_config_written_as_given(self):
+        trace = make_trace(
+            GameConfig(horizon=3, coin_bias=1, seed=np.uint64(7)),
+            [Flip(0, H), Flip(2.0, H)],
+            [Bet(1, H), Bet(2, T), Bet(2.5, H)],
+        )
+        text = _trace_json(trace)
+        assert text == _indented_dump(trace)
+        assert '"horizon": 3,' in text and '"coin_bias": 1,' in text
+        assert '"time": 1,' in text and '"time": 2.0,' in text
+
+    def test_no_bets_is_an_empty_list(self):
+        trace = simulate_game(GameConfig(horizon=1.0, seed=4), [0.0, 0.5], [])
+        text = _trace_json(trace)
+        assert text == _indented_dump(trace)
+        assert '"bets": [],\n  "resolutions": []\n}' in text
