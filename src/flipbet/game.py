@@ -123,7 +123,7 @@ class GameConfig:
     def __post_init__(self) -> None:
         problems = []
         if not (_is_number(self.horizon) and math.isfinite(self.horizon) and self.horizon > 0):
-            problems.append(f"horizon must be a finite positive number, got {self.horizon!r}")
+            problems.append(f"horizon must be a finite positive number, got {_shown(self.horizon)}")
         _checked(problems, _probability, self.coin_bias, "coin_bias")
         object.__setattr__(self, "seed", _checked(problems, _seed, self.seed))
         if problems:
@@ -136,6 +136,20 @@ def _is_number(x: object) -> bool:
     if isinstance(x, float):
         return True
     return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _shown(value: object) -> str:
+    """A caller's value as a message quotes it: its ``repr``, or a bounded
+    form where ``repr`` refuses an int longer than the interpreter's digit
+    limit (4300 digits by default)."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        if isinstance(value, list):
+            return f"[{', '.join(map(_shown, value))}]"
+        return f"<unprintable {type(value).__name__} object>"
 
 
 def _integer(value: object, name: str, lo: int | None = 0, hi: int | None = None) -> int:
@@ -153,13 +167,13 @@ def _integer(value: object, name: str, lo: int | None = 0, hi: int | None = None
             if (lo is None or lo <= number) and (hi is None or number <= hi):
                 return number
     bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
-    raise DomainError(f"{name} must be an integer{bounds}, got {value!r}")
+    raise DomainError(f"{name} must be an integer{bounds}, got {_shown(value)}")
 
 
 def _probability(value: object, name: str = "p") -> float:
     """The probability rule: a real number in [0, 1], returned as a float."""
     if not (_is_number(value) and 0.0 <= value <= 1.0):
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+        raise DomainError(f"{name} must lie in [0, 1], got {_shown(value)}")
     return float(value)
 
 
@@ -168,7 +182,8 @@ def _seed(value: object, name: str = "seed") -> int:
     try:
         return _integer(value, name, 0, _MAX_SEED)
     except DomainError:
-        raise DomainError(f"{name} must be a 64-bit unsigned integer, got {value!r}") from None
+        problem = f"{name} must be a 64-bit unsigned integer, got {_shown(value)}"
+        raise DomainError(problem) from None
 
 
 def _checked(problems: list[str], rule: Callable, *args: object) -> object:
@@ -225,8 +240,9 @@ def _record_columns(records: tuple, face: str) -> _Columns:
     return columns._replace(records=records)
 
 
-def _schedule_problems(horizon: float, flips: _Columns, bets: _Columns) -> list[str]:
-    """Every violation of the schedule and face invariants, in a fixed order.
+def _check_schedule(horizon: float, flips: _Columns, bets: _Columns) -> None:
+    """Raise a ValidationError listing every violation of the schedule and
+    face invariants, in a fixed order.
 
     Flip problems come first (empty schedule or no flip at time 0, then
     each bad time, then each out-of-order pair, then each outcome that is
@@ -239,29 +255,30 @@ def _schedule_problems(horizon: float, flips: _Columns, bets: _Columns) -> list[
         problems.append("flip schedule is empty: the game must open with a flip at time 0")
     else:
         if ft[0] != 0.0:
-            problems.append(f"first flip must be at time 0, got {_given(flips, 0)!r}")
+            problems.append(f"first flip must be at time 0, got {_shown(_given(flips, 0))}")
         for i in _where(_bad_times(ft, horizon)):
             problems.append(_time_problem("flip", i, _given(flips, i), horizon))
         for i in _where(ft[:-1] >= ft[1:]):
             problems.append(
-                f"flip times must be strictly increasing: "
-                f"flip[{i}]={_given(flips, i)!r} >= flip[{i + 1}]={_given(flips, i + 1)!r}"
+                f"flip times must be strictly increasing: flip[{i}]={_shown(_given(flips, i))} "
+                f">= flip[{i + 1}]={_shown(_given(flips, i + 1))}"
             )
     if flips.faces is not None:
         for i in _where(flips.faces < 0):
-            problems.append(f"flip[{i}] outcome is not a Face: {flips.given_faces[i]!r}")
+            problems.append(f"flip[{i}] outcome is not a Face: {_shown(flips.given_faces[i])}")
     bad_time, bad_face = _bad_times(bt, horizon), bets.faces < 0
     for i in _where(bad_time | bad_face):
         if bad_time[i]:
             problems.append(_time_problem("bet", i, _given(bets, i), horizon))
         if bad_face[i]:
-            problems.append(f"bet[{i}] prediction is not a Face: {bets.given_faces[i]!r}")
+            problems.append(f"bet[{i}] prediction is not a Face: {_shown(bets.given_faces[i])}")
     for i in _where(bt[:-1] > bt[1:]):
         problems.append(
             f"bet times must be non-decreasing: "
-            f"bet[{i}]={_given(bets, i)!r} > bet[{i + 1}]={_given(bets, i + 1)!r}"
+            f"bet[{i}]={_shown(_given(bets, i))} > bet[{i + 1}]={_shown(_given(bets, i + 1))}"
         )
-    return problems
+    if problems:
+        raise ValidationError(problems)
 
 
 def _bad_times(times: np.ndarray, horizon: float) -> np.ndarray:
@@ -279,8 +296,8 @@ def _given(columns: _Columns, i: int) -> object:
 
 def _time_problem(kind: str, i: int, t: object, horizon: float) -> str:
     if not (_is_number(t) and math.isfinite(t)):
-        return f"{kind}[{i}] time is not a finite number: {t!r}"
-    return f"{kind}[{i}] time {t!r} outside [0, {horizon}]"
+        return f"{kind}[{i}] time is not a finite number: {_shown(t)}"
+    return f"{kind}[{i}] time {_shown(t)} outside [0, {horizon}]"
 
 
 _FACES = (Face.TAILS, Face.HEADS)  # indexed by a heads flag
@@ -370,9 +387,7 @@ class GameTrace:
         resolutions: Iterable[bool] | None,
     ) -> None:
         """The column constructor: check, resolve flip-first, build the epoch table."""
-        problems = _schedule_problems(config.horizon, flips, bets)
-        if problems:
-            raise ValidationError(problems)
+        _check_schedule(config.horizon, flips, bets)
         flip_heads = _read_only(flips.faces == 1)
         bet_heads = _read_only(bets.faces == 1)
         epoch = _governing_flip(flips.times, bets.times)
@@ -380,7 +395,7 @@ class GameTrace:
         if resolutions is not None:
             given, derived = tuple(resolutions), tuple(won.tolist())
             if not all(isinstance(r, (bool, np.bool_)) for r in given):
-                raise ValidationError(f"resolutions must be booleans, got {list(given)!r}")
+                raise ValidationError(f"resolutions must be booleans, got {_shown(list(given))}")
             if len(given) != len(derived):
                 raise ValidationError(f"expected {len(derived)} resolutions, got {len(given)}")
             if given != derived:
@@ -491,7 +506,7 @@ def coin_state_at(trace: GameTrace, t: float) -> Face:
         DomainError: If ``t`` lies outside the game window.
     """
     if not (_is_number(t) and 0.0 <= t <= trace.config.horizon):
-        raise DomainError(f"time {t!r} outside the game window [0, {trace.config.horizon}]")
+        raise DomainError(f"time {_shown(t)} outside the game window [0, {trace.config.horizon}]")
     heads = trace._flip_heads[_governing_flip(trace._flip_times, t)]
     return Face.HEADS if heads else Face.TAILS
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .game import Bet, EpochGrouping, Face, GameTrace
+from .game import Bet, EpochGrouping, Face, GameTrace, _shown
 
 __all__ = [
     "EpochGrouping",
@@ -72,14 +72,14 @@ def pairwise_conditional_probability(
     """
     if bet_i.time > bet_j.time:
         raise DomainError(
-            f"bet_i must not come after bet_j: {bet_i.time!r} > {bet_j.time!r}"
+            f"bet_i must not come after bet_j: {_shown(bet_i.time)} > {_shown(bet_j.time)}"
         )
     epochs = []
     for bet in (bet_i, bet_j):
         try:
             epochs.append(grouping.epoch_of_bet[grouping.bets.index(bet)])
         except ValueError:
-            raise DomainError(f"{bet!r} does not belong to this grouping") from None
+            raise DomainError(f"{_shown(bet)} does not belong to this grouping") from None
     if epochs[0] == epochs[1]:
         return 1.0 if bet_i.prediction is bet_j.prediction else 0.0
     return _marginal(bet_j.prediction, coin_bias)

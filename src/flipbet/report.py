@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .game import (
     _probability,
     _records,
     _seed,
+    _shown,
 )
 from .probability import (
     effective_event_count,
@@ -96,7 +97,9 @@ class AnalysisOptions:
             try:
                 trials = _integer(trials, "randomization_trials", 1)
             except DomainError:
-                problems.append(f"randomization_trials must be None or an integer >= 1, got {trials!r}")
+                problems.append(
+                    f"randomization_trials must be None or an integer >= 1, got {_shown(trials)}"
+                )
         object.__setattr__(self, "seed", _checked(problems, _seed, self.seed))
         if problems:
             raise ValidationError(problems)
@@ -227,7 +230,7 @@ def _read_rows(path: Path, data: bytes, value_name: str) -> tuple[np.ndarray, np
     lines: list[int] = []
     codes: dict[str, bool] = {}  # face token as written -> heads
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
+        for line_no, row in _csv_rows(handle, path):
             if len(row) != 2:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue  # blank line
@@ -254,6 +257,18 @@ def _read_rows(path: Path, data: bytes, value_name: str) -> tuple[np.ndarray, np
             heads.append(code)
             lines.append(line_no)
     return np.array(times, dtype=float), np.array(heads, dtype=bool), lines
+
+
+def _csv_rows(handle: io.TextIOBase, path: Path) -> Iterator[tuple[int, list[str]]]:
+    """``csv.reader``'s rows, numbered from 1. A row it cannot split, such as
+    one with a field over the module's 128 KiB limit, is a CsvFormatError on
+    that row's line."""
+    line_no = 0
+    try:
+        for line_no, row in enumerate(csv.reader(handle), start=1):
+            yield line_no, row
+    except csv.Error as exc:
+        raise CsvFormatError(str(exc), path=str(path), line=line_no + 1) from None
 
 
 def load_flips(path: str | Path) -> list[Flip]:
@@ -455,7 +470,7 @@ def trace_from_dict(data: dict[str, Any]) -> GameTrace:
         bets = tuple(Bet(b["time"], Face(b["prediction"])) for b in data["bets"])
         resolutions = tuple(data["resolutions"])
         if not all(isinstance(r, bool) for r in resolutions):
-            raise TypeError(f"resolutions must be booleans, got {list(resolutions)!r}")
+            raise TypeError(f"resolutions must be booleans, got {_shown(list(resolutions))}")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
             raise

@@ -27,13 +27,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .game import (
     _MAX_SEED,
     Bet,
     Face,
     GameConfig,
     GameTrace,
+    _check_schedule,
     _columns,
     _generator,
     _governing_flip,
@@ -41,8 +42,8 @@ from .game import (
     _is_number,
     _probability,
     _record_columns,
-    _schedule_problems,
     _seed,
+    _shown,
 )
 
 __all__ = [
@@ -64,9 +65,10 @@ _EXACT_COMB_LIMIT = 1000
 # with a one-unit margin against the subnormal boundary).
 _LOG_MIN_NORMAL = math.log(2.2250738585072014e-308) + 1.0
 
-# Monte Carlo rows simulated per vectorized batch. The estimate does not
-# depend on it: trial i always consumes the i-th block of the stream.
-_CHUNK_TRIALS = 1 << 16
+# Bytes of uniform draws per Monte Carlo batch; a batch holds as many
+# trials as fit. The estimate does not depend on it: trial i always
+# consumes the i-th block of the stream.
+_BATCH_BYTES = 8 << 20
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -163,7 +165,7 @@ def _trial_count(value: object, name: str, lo: int = 0) -> int:
     number: an int too large for a float has no float to compute with."""
     n = _integer(value, name, lo)
     if not _is_number(n):
-        raise DomainError(f"{name} must be an integer a float can hold, got {n!r}")
+        raise DomainError(f"{name} must be an integer a float can hold, got {_shown(n)}")
     return n
 
 
@@ -174,14 +176,10 @@ def _binomial_tail(lo: int, hi: int, n: int, p: float) -> float:
     recurrence pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/(1-p), with compensated
     summation. Walking away from the mode only ever multiplies by ratios
     below 1, so the recurrence cannot overflow and terms that underflow to
-    zero end the walk early.
+    zero end the walk early. Callers pass lo <= hi. At p = 0 or 1 the
+    anchor clamps to the range end nearest the mass and the first outward
+    ratio is 0, so the walk needs no special case.
     """
-    if lo > hi:
-        return 0.0
-    if p == 0.0:
-        return 1.0 if lo == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if lo <= n <= hi else 0.0
     anchor = min(max(int((n + 1) * p), lo), hi)
     anchor_term = binomial_pmf(anchor, n, p)
     total = anchor_term
@@ -286,10 +284,10 @@ def randomization_test(
         try:
             lo, hi = interval
         except (TypeError, ValueError):
-            raise DomainError(f"interval must be a (lo, hi) pair, got {interval!r}") from None
+            raise DomainError(f"interval must be a (lo, hi) pair, got {_shown(interval)}") from None
     if not (_is_number(lo) and _is_number(hi) and 0.0 <= lo <= hi <= trace.config.horizon):
         raise DomainError(
-            f"interval ({lo!r}, {hi!r}) must satisfy 0 <= lo <= hi <= horizon"
+            f"interval ({_shown(lo)}, {_shown(hi)}) must satisfy 0 <= lo <= hi <= horizon"
         )
     draws = _generator(seed).uniform(lo, hi, trials)
     epochs = _governing_flip(trace._flip_times, draws)
@@ -330,9 +328,7 @@ def monte_carlo_compound(
     base_seed = _seed(base_seed, "base_seed")
     bets = tuple(bet_plan)
     flips = _columns(flip_times)
-    problems = _schedule_problems(config.horizon, flips, _record_columns(bets, "prediction"))
-    if problems:
-        raise ValidationError(problems)
+    _check_schedule(config.horizon, flips, _record_columns(bets, "prediction"))
     times = flips.times.tolist()
 
     if not bets:
@@ -353,13 +349,12 @@ def monte_carlo_compound(
     need_heads = np.array([required[e] is Face.HEADS for e in required], dtype=bool)
     rng = _generator(base_seed)
     n_flips = len(times)
+    rows = max(1, _BATCH_BYTES // (8 * n_flips))
     wins = 0
-    remaining = trials
-    while remaining > 0:
-        m = min(_CHUNK_TRIALS, remaining)
-        heads = rng.random((m, n_flips)) < config.coin_bias
-        wins += int((heads[:, epoch_idx] == need_heads).all(axis=1).sum())
-        remaining -= m
+    for start in range(0, trials, rows):
+        draws = rng.random((min(rows, trials - start), n_flips))
+        heads = draws[:, epoch_idx] < config.coin_bias
+        wins += int((heads == need_heads).all(axis=1).sum())
     estimate = wins / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return MonteCarloEstimate(trials, wins, estimate, stderr)

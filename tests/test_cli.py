@@ -254,6 +254,15 @@ class TestAnalyze:
         assert code == 2
         assert "duplicate flip time" in capsys.readouterr().err
 
+    def test_field_over_the_csv_limit_exit_2(self, tmp_path, capsys):
+        flips = tmp_path / "flips.csv"
+        bets = tmp_path / "bets.csv"
+        flips.write_text("0,H\n")
+        bets.write_text("0,H\n " + "0" * 200_000 + "1,T\n")
+        code = main(["analyze", "--flips", str(flips), "--bets", str(bets)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bets}:2: field larger than field limit (131072)\n"
+
     @pytest.mark.parametrize("fmt,expected", [("json", PINNED_JSON), ("text", PINNED_TEXT)])
     def test_report_bytes_are_pinned(self, tmp_path, capsys, fmt, expected):
         flips = tmp_path / "flips.csv"
@@ -314,6 +323,18 @@ class TestSignificance:
     def test_mixed_flag_groups_rejected(self, capsys):
         assert main(["significance", "--n", "10", "--wins", "1"]) == 2
         assert main(["significance"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--n", "10"], "--n and --p must be given together"),
+            (["--wins", "1"], "--wins and --effective must be given together"),
+        ],
+        ids=["n-alone", "wins-alone"],
+    )
+    def test_half_a_flag_pair_rejected(self, capsys, argv, message):
+        assert main(["significance", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_domain_error_exit_2(self, capsys):
         assert main(["significance", "--wins", "3", "--effective", "2"]) == 2

@@ -19,15 +19,18 @@ from flipbet import (
     Flip,
     FlipBetError,
     GameConfig,
+    GameTrace,
     RandomizationResult,
     ValidationError,
     analyze,
     binomial_pmf,
     coin_state_at,
     derive_seed,
+    group_by_epoch,
     losing_probability,
     make_trace,
     monte_carlo_compound,
+    pairwise_conditional_probability,
     random_reproduction_pvalue,
     randomization_test,
     report_from_dict,
@@ -196,3 +199,64 @@ class TestIntTooLargeForAFloat:
         # The bound is the largest float itself, so every int a float holds passes.
         horizon = int(1.7976931348623157e308)
         assert GameConfig(horizon=horizon).horizon == horizon
+
+
+OVERSIZED = 10**5000  # over the interpreter's 4300-digit limit: repr() raises ValueError
+
+OVERSIZED_CALLS = {
+    "GameConfig.horizon": lambda v: GameConfig(horizon=v),
+    "GameConfig.coin_bias": lambda v: GameConfig(horizon=1.0, coin_bias=v),
+    "GameConfig.seed": lambda v: GameConfig(horizon=1.0, seed=v),
+    "AnalysisOptions.seed": lambda v: AnalysisOptions(seed=v),
+    "derive_seed.base_seed": lambda v: derive_seed(v, 0),
+    "binomial_pmf.k": lambda v: binomial_pmf(v, 2, 0.5),
+    "binomial_pmf.n": lambda v: binomial_pmf(0, v, 0.5),
+    "binomial_pmf.p": lambda v: binomial_pmf(1, 2, v),
+    "losing_probability.n": lambda v: losing_probability(v, 0.4),
+    "random_reproduction_pvalue.m_effective": lambda v: random_reproduction_pvalue(1, v),
+    "RandomizationResult.changed": lambda v: RandomizationResult(trials=2, changed=v),
+    "report_from_dict.naive_pvalue": lambda v: report_from_dict(_report_with("naive_pvalue", v)),
+    "Flip.time.first": lambda v: make_trace(CONFIG, [Flip(v, H)], []),
+    "Flip.time": lambda v: make_trace(CONFIG, [Flip(0.0, H), Flip(v, T)], []),
+    "Flip.outcome": lambda v: make_trace(CONFIG, [Flip(0.0, v)], []),
+    "Bet.time": lambda v: make_trace(CONFIG, [Flip(0.0, H)], [Bet(v, H)]),
+    "Bet.prediction": lambda v: make_trace(CONFIG, [Flip(0.0, H)], [Bet(0.5, v)]),
+    "simulate_game.flip_times": lambda v: simulate_game(CONFIG, [0.0, v], []),
+    "monte_carlo_compound.flip_times": (
+        lambda v: monte_carlo_compound(CONFIG, [0.0, v], [Bet(0.5, H)], 10, 0)
+    ),
+    "trace_from_dict.time": lambda v: trace_from_dict(_trace_doc_with_bet_time(v)),
+    "coin_state_at.t": lambda v: coin_state_at(TRACE, v),
+    "randomization_test.seed": lambda v: randomization_test(TRACE, 1, trials=20, seed=v),
+    "randomization_test.interval.lo": lambda v: randomization_test(TRACE, 1, interval=(v, 1.75)),
+    "randomization_test.interval": lambda v: randomization_test(TRACE, 1, interval=(0.0, 1.0, v)),
+    "GameTrace.resolutions": (
+        lambda v: GameTrace(CONFIG, TRACE.flips, TRACE.bets, resolutions=[True, v])
+    ),
+    "trace_from_dict.resolutions": (
+        lambda v: trace_from_dict({**trace_to_dict(TRACE), "resolutions": [True, v]})
+    ),
+    "pairwise_conditional_probability.order": (
+        lambda v: pairwise_conditional_probability(Bet(v, H), TRACE.bets[0], group_by_epoch(TRACE))
+    ),
+    "pairwise_conditional_probability.membership": (
+        lambda v: pairwise_conditional_probability(TRACE.bets[0], Bet(v, H), group_by_epoch(TRACE))
+    ),
+}
+
+
+@pytest.mark.parametrize("parameter", OVERSIZED_CALLS)
+def test_an_int_too_long_to_write_gets_a_short_message(parameter):
+    with pytest.raises(FlipBetError) as err:
+        OVERSIZED_CALLS[parameter](OVERSIZED)
+    message = str(err.value)
+    assert len(message) < 200 and "Exceeds the limit" not in message
+
+
+def test_an_int_too_long_to_write_is_shown_by_its_bit_length():
+    with pytest.raises(ValidationError) as err:
+        GameConfig(horizon=OVERSIZED)
+    assert err.value.problems == ("horizon must be a finite positive number, got <int of 16610 bits>",)
+    with pytest.raises(ValidationError) as err:
+        GameTrace(CONFIG, TRACE.flips, TRACE.bets, resolutions=[True, OVERSIZED])
+    assert err.value.problems == ("resolutions must be booleans, got [True, <int of 16610 bits>]",)

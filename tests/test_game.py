@@ -21,10 +21,14 @@ from flipbet import (
     coin_state_at,
     make_trace,
     monte_carlo_compound,
+    load_bets,
+    load_flips,
     simulate_game,
     trace_to_dict,
 )
 from conftest import faces, game_inputs, traces
+from flipbet.game import _columns, _Columns
+from flipbet.report import _read_log
 
 H, T = Face.HEADS, Face.TAILS
 
@@ -200,6 +204,50 @@ class TestMakeTrace:
             resolutions=np.array([True, True]),
         )
         assert trace == paradox_trace
+
+
+class TestTraceObject:
+    def test_bets_built_from_read_columns_match_the_loaded_records(self, tmp_path):
+        flips, bets = tmp_path / "flips.csv", tmp_path / "bets.csv"
+        flips.write_text("time,outcome\n0,H\n2,T\n")
+        bets.write_text("1.5,T\n0.5,H\n2,T\n")
+        trace = GameTrace._from_columns(
+            GameConfig(horizon=3.0),
+            _Columns(*_read_log(flips, "outcome", distinct=True)),
+            _Columns(*_read_log(bets, "prediction")),
+        )
+        assert "bets" not in vars(trace)  # built on first access
+        assert trace.bets == tuple(load_bets(bets))
+        assert trace.flips == tuple(load_flips(flips))
+
+    def test_record_and_column_built_traces_hash_equal(self, paradox_trace):
+        trace = GameTrace._from_columns(
+            paradox_trace.config, _columns([0.0], [H]), _columns([0.3, 0.7], [H, H])
+        )
+        assert trace == paradox_trace
+        assert hash(trace) == hash(paradox_trace)
+
+    def test_repr(self, paradox_trace):
+        heads = "<Face.HEADS: 'H'>"
+        assert repr(paradox_trace) == (
+            "GameTrace(config=GameConfig(horizon=1.0, coin_bias=0.5, seed=0), "
+            f"flips=(Flip(time=0.0, outcome={heads}),), "
+            f"bets=(Bet(time=0.3, prediction={heads}), Bet(time=0.7, prediction={heads})), "
+            "resolutions=(True, True))"
+        )
+
+    def test_never_equal_to_a_non_trace(self, paradox_trace):
+        assert paradox_trace.__eq__(trace_to_dict(paradox_trace)) is NotImplemented
+        assert paradox_trace != trace_to_dict(paradox_trace)
+
+    def test_attributes_cannot_be_assigned(self, paradox_trace):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'config': GameTrace is read-only$"):
+            paradox_trace.config = GameConfig(horizon=2.0)
+
+    def test_resolution_count_must_match_the_bets(self, paradox_trace):
+        with pytest.raises(ValidationError) as err:
+            GameTrace(paradox_trace.config, paradox_trace.flips, paradox_trace.bets, [True])
+        assert err.value.problems == ("expected 2 resolutions, got 1",)
 
 
 def _reference_problems(horizon, flips, bets):

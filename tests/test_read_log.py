@@ -322,6 +322,31 @@ def test_each_form_outside_the_subset_goes_to_the_per_row_reader(tmp_path, text)
     _check_against_reference(tmp_path, data)
 
 
+# The csv module stops at a field over its limit (128 KiB by default), so the
+# per-row reader reports such a row on its line; the subset path has no limit.
+LONG_FIELD = 200_000
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [("0,H\n " + "0" * LONG_FIELD + "1,T\n", 2), ("0,H\n\n1," + "H" * LONG_FIELD + "\n", 3)],
+    ids=["padded-time", "face"],
+)
+def test_a_field_over_the_csv_limit_is_an_error_on_its_line(tmp_path, text, line):
+    path = tmp_path / "bets.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError) as err:
+        load_bets(path)
+    assert err.value.line == line
+    assert str(err.value) == f"{path}:{line}: field larger than field limit ({csv.field_size_limit()})"
+
+
+def test_the_subset_path_reads_an_unpadded_time_over_the_csv_limit(tmp_path):
+    path = tmp_path / "bets.csv"
+    path.write_text("0,H\n" + "0" * LONG_FIELD + "1,T\n")
+    assert load_bets(path) == [Bet(0.0, Face.HEADS), Bet(1.0, Face.TAILS)]
+
+
 def _benchmark_shaped_log(n_rows: int, seed: int) -> str:
     """A header and sorted integer times, LF line ends, as the benchmark writes them."""
     rng = np.random.default_rng(seed)

@@ -258,6 +258,13 @@ class TestRoundTrips:
         with pytest.raises(ValidationError, match="malformed"):
             trace_from_dict({"config": {}})
 
+    def test_invalid_config_in_a_trace_document_keeps_its_problems(self, paradox_trace):
+        doc = trace_to_dict(paradox_trace)
+        doc["config"]["horizon"] = -1.0
+        with pytest.raises(ValidationError) as err:
+            trace_from_dict(doc)
+        assert err.value.problems == ("horizon must be a finite positive number, got -1.0",)
+
     @pytest.mark.parametrize("resolutions", [["yes", 0], [1, 1]])
     def test_resolutions_must_be_json_booleans(self, paradox_trace, resolutions):
         doc = trace_to_dict(paradox_trace)

@@ -121,6 +121,12 @@ class TestLosingProbability:
     def test_certain_win_cannot_lose(self):
         assert losing_probability(1, 1.0) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 999, 1000, 1001, 10**6, 10**15])
+    def test_certain_coins_give_certain_answers(self, n):
+        # Both sides of the exact-coefficient limit, where binomial_pmf switches to log-gamma.
+        assert losing_probability(n, 0.0) == 1.0
+        assert losing_probability(n, 1.0) == 0.0
+
     def test_ties_are_not_losses(self):
         # n=2, fair: losing only when both trials fail
         assert losing_probability(2, 0.5) == pytest.approx(0.25, abs=1e-12)
@@ -345,9 +351,10 @@ class TestMonteCarloCompound:
 
     def test_chunking_does_not_change_the_count(self, monkeypatch):
         args = (GameConfig(horizon=1.0), [0.0, 0.4], [Bet(0.2, H), Bet(0.6, T)])
-        monkeypatch.setattr(significance, "_CHUNK_TRIALS", 30_000)
+        row_bytes = 8 * 2  # one double per flip
+        monkeypatch.setattr(significance, "_BATCH_BYTES", 30_000 * row_bytes)
         one_shot = monte_carlo_compound(*args, trials=30_000, base_seed=7)
-        monkeypatch.setattr(significance, "_CHUNK_TRIALS", 999)
+        monkeypatch.setattr(significance, "_BATCH_BYTES", 999 * row_bytes)
         chunked = monte_carlo_compound(*args, trials=30_000, base_seed=7)
         assert one_shot == chunked
 
