@@ -64,6 +64,63 @@ def _generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Philox4x64-10 (Salmon et al., SC 2011): round multipliers and key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _random_at(key: int, positions: np.ndarray) -> np.ndarray:
+    """The doubles at ``positions`` (a uint64 array) of ``_generator(key).random()``.
+
+    numpy's Philox fills double ``d`` from word ``d % 4`` of the block at
+    counter ``(d // 4 + 1, 0, 0, 0)`` under the key ``(key, 0)``, so any
+    double of the stream can be computed on its own. The key schedule runs
+    on Python ints, where overflow neither wraps silently nor warns.
+    """
+    blocks = positions // np.uint64(4)
+    # Positions of a short schedule share blocks: evaluate each run of
+    # equal neighbouring blocks once.
+    first = np.empty(len(blocks), bool)
+    first[:1] = True
+    np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
+    zero = np.zeros(np.count_nonzero(first), np.uint64)
+    x0, x1, x2, x3 = blocks[first] + np.uint64(1), zero, zero, zero
+    k0, k1 = key, 0
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        hi1 ^= x1
+        hi1 ^= np.uint64(k0)
+        hi0 ^= x3
+        hi0 ^= np.uint64(k1)
+        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
+        k0, k1 = (k0 + _PHILOX_W[0]) & _MAX_SEED, (k1 + _PHILOX_W[1]) & _MAX_SEED
+    # Word d % 4 of the run that holds position d.
+    index = (positions & np.uint64(3)).view(np.int64)
+    index += (np.cumsum(first, dtype=np.int64) - 1) * 4
+    words = np.stack((x0, x1, x2, x3), axis=1).ravel()[index]
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``a * b``, from 32-bit halves."""
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b_lo, hi = b & _LOW32, b >> _SHIFT32
+    low_cross = b_lo * a_lo
+    low_cross >>= _SHIFT32
+    cross = b_lo * a_hi
+    cross += low_cross
+    high_cross = hi * a_lo
+    high_cross += cross & _LOW32
+    high_cross >>= _SHIFT32
+    cross >>= _SHIFT32
+    hi *= a_hi
+    hi += cross
+    hi += high_cross
+    return hi, b * np.uint64(a)
+
+
 class Face(enum.Enum):
     """One of the two coin faces; also the value of a bet's prediction."""
 
@@ -80,7 +137,8 @@ class Face(enum.Enum):
         try:
             return cls(token.strip().upper())
         except ValueError:
-            raise DomainError(f"unknown face token {token.strip()!r} (expected 'H' or 'T')") from None
+            shown = _shown(token.strip())
+            raise DomainError(f"unknown face token {shown} (expected 'H' or 'T')") from None
 
     @property
     def token(self) -> str:
@@ -139,9 +197,12 @@ def _is_number(x: object) -> bool:
 
 
 def _shown(value: object) -> str:
-    """A caller's value as a message quotes it: its ``repr``, or a bounded
-    form where ``repr`` refuses an int longer than the interpreter's digit
-    limit (4300 digits by default)."""
+    """A caller's value as a message quotes it: its ``repr``, with a str
+    longer than 32 characters cut to its first 32 and its length, or a
+    bounded form where ``repr`` refuses an int longer than the
+    interpreter's digit limit (4300 digits by default)."""
+    if isinstance(value, str) and len(value) > 32:
+        return f"{value[:32]!r}... ({len(value)} characters)"
     try:
         return repr(value)
     except ValueError:

@@ -242,10 +242,10 @@ def _read_rows(path: Path, data: bytes, value_name: str) -> tuple[np.ndarray, np
             except ValueError:
                 if line_no == 1:
                     continue  # header row: non-numeric first field
-                problem = f"malformed time {time_token.strip()!r}"
+                problem = f"malformed time {_shown(time_token.strip())}"
                 raise CsvFormatError(problem, path=str(path), line=line_no) from None
             if not 0.0 <= t < math.inf:
-                problem = f"time out of range (finite, >= 0): {time_token.strip()!r}"
+                problem = f"time out of range (finite, >= 0): {_shown(time_token.strip())}"
                 raise CsvFormatError(problem, path=str(path), line=line_no)
             code = codes.get(face_token)
             if code is None:

@@ -263,6 +263,18 @@ class TestAnalyze:
         assert code == 2
         assert capsys.readouterr().err == f"error: {bets}:2: field larger than field limit (131072)\n"
 
+    @pytest.mark.parametrize("row", ["1," + "H" * 100_000, "x" * 100_000 + ",T"], ids=["face", "time"])
+    def test_long_token_error_is_one_short_line(self, tmp_path, capsys, row):
+        flips = tmp_path / "flips.csv"
+        bets = tmp_path / "bets.csv"
+        flips.write_text("0,H\n")
+        bets.write_text(f"0,H\n{row}\n")
+        code = main(["analyze", "--flips", str(flips), "--bets", str(bets)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {bets}:2: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
     @pytest.mark.parametrize("fmt,expected", [("json", PINNED_JSON), ("text", PINNED_TEXT)])
     def test_report_bytes_are_pinned(self, tmp_path, capsys, fmt, expected):
         flips = tmp_path / "flips.csv"

@@ -209,6 +209,7 @@ OVERSIZED_CALLS = {
     "GameConfig.seed": lambda v: GameConfig(horizon=1.0, seed=v),
     "AnalysisOptions.seed": lambda v: AnalysisOptions(seed=v),
     "derive_seed.base_seed": lambda v: derive_seed(v, 0),
+    "derive_seed.index": lambda v: derive_seed(0, v),
     "binomial_pmf.k": lambda v: binomial_pmf(v, 2, 0.5),
     "binomial_pmf.n": lambda v: binomial_pmf(0, v, 0.5),
     "binomial_pmf.p": lambda v: binomial_pmf(1, 2, v),

@@ -25,6 +25,11 @@ from flipbet import report
 from flipbet.cli import main
 
 
+def _quoted(token: str) -> str:
+    """A token as an error message quotes it: its repr, cut after 32 characters."""
+    return repr(token) if len(token) <= 32 else f"{token[:32]!r}... ({len(token)} characters)"
+
+
 def _reference_rows(path: Path, value_name: str) -> list[tuple[float, Face, int]]:
     rows: list[tuple[float, Face, int]] = []
     with path.open(newline="", encoding="utf-8") as handle:
@@ -44,11 +49,11 @@ def _reference_rows(path: Path, value_name: str) -> list[tuple[float, Face, int]
                 if line_no == 1:
                     continue  # header row: non-numeric first field
                 raise CsvFormatError(
-                    f"malformed time {time_token!r}", path=str(path), line=line_no
+                    f"malformed time {_quoted(time_token)}", path=str(path), line=line_no
                 ) from None
             if not math.isfinite(t) or t < 0.0:
                 raise CsvFormatError(
-                    f"time out of range (finite, >= 0): {time_token!r}",
+                    f"time out of range (finite, >= 0): {_quoted(time_token)}",
                     path=str(path),
                     line=line_no,
                 )
@@ -56,7 +61,7 @@ def _reference_rows(path: Path, value_name: str) -> list[tuple[float, Face, int]
                 face = Face(face_token.upper())
             except ValueError:
                 raise CsvFormatError(
-                    f"unknown face token {face_token!r} (expected 'H' or 'T')",
+                    f"unknown face token {_quoted(face_token)} (expected 'H' or 'T')",
                     path=str(path),
                     line=line_no,
                 ) from None
@@ -345,6 +350,28 @@ def test_the_subset_path_reads_an_unpadded_time_over_the_csv_limit(tmp_path):
     path = tmp_path / "bets.csv"
     path.write_text("0,H\n" + "0" * LONG_FIELD + "1,T\n")
     assert load_bets(path) == [Bet(0.0, Face.HEADS), Bet(1.0, Face.TAILS)]
+
+
+# Under the csv module's field limit, so the per-row reader gets to the token.
+LONG_TOKEN = 100_000
+SHOWN = f"... ({LONG_TOKEN} characters)"
+
+
+@pytest.mark.parametrize(
+    "row,problem",
+    [
+        ("1," + "h" * LONG_TOKEN, f"unknown face token {'h' * 32!r}{SHOWN} (expected 'H' or 'T')"),
+        ("x" * LONG_TOKEN + ",T", f"malformed time {'x' * 32!r}{SHOWN}"),
+        ("-" + "9" * (LONG_TOKEN - 1) + ",T", f"time out of range (finite, >= 0): {'-' + '9' * 31!r}{SHOWN}"),
+    ],
+    ids=["face", "malformed-time", "time-out-of-range"],
+)
+def test_a_long_token_is_quoted_by_its_first_32_characters_and_length(tmp_path, row, problem):
+    path = tmp_path / "bets.csv"
+    path.write_text(f"0,H\n{row}\n")
+    with pytest.raises(CsvFormatError) as err:
+        load_bets(path)
+    assert str(err.value) == f"{path}:2: {problem}"
 
 
 def _benchmark_shaped_log(n_rows: int, seed: int) -> str:

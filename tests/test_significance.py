@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flipbet import significance
@@ -30,6 +31,8 @@ from flipbet import (
     simulate_game,
     true_compound_probability,
 )
+from conftest import faces, seeds
+from flipbet.game import _generator
 
 H, T = Face.HEADS, Face.TAILS
 
@@ -304,6 +307,52 @@ class TestRandomizationResult:
             RandomizationResult(trials=trials, changed=changed)
 
 
+def _bulk_successes(config, flip_times, bets, trials, seed):
+    """The reference Monte Carlo kernel: draw every flip of every trial, row by
+    row from one stream, and count the rows that win at each occupied epoch."""
+    required = {}
+    for b in bets:
+        epoch = bisect_right(flip_times, b.time) - 1
+        if required.setdefault(epoch, b.prediction) is not b.prediction:
+            return 0
+    epochs = list(required)
+    heads = _generator(seed).random((trials, len(flip_times)))[:, epochs] < config.coin_bias
+    need_heads = np.array([required[e] is H for e in epochs], dtype=bool)
+    return int((heads == need_heads).all(axis=1).sum())
+
+
+@st.composite
+def epoch_games(draw):
+    """Flips at 0, 1, 2, ... with bets in random epochs. The bets of an epoch
+    agree, unless one opposite bet is added to an occupied epoch."""
+    n_flips = draw(st.integers(1, 40))
+    face_of = draw(st.lists(faces, min_size=n_flips, max_size=n_flips))
+    epochs = sorted(draw(st.lists(st.integers(0, n_flips - 1), max_size=40)))
+    bets = [Bet(e + 0.5, face_of[e]) for e in epochs]
+    if epochs and draw(st.integers(0, 3)) == 0:
+        e = draw(st.sampled_from(epochs))
+        bets = sorted([*bets, Bet(e + 0.75, face_of[e].opposite())], key=lambda b: b.time)
+    bias = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    config = GameConfig(horizon=float(n_flips), coin_bias=bias)
+    return config, [float(i) for i in range(n_flips)], bets
+
+
+def _montecarlo_inputs(seed):
+    """The benchmark's ``montecarlo`` inputs for ``seed``: 1000 flips, 10
+    occupied epochs of 3 agreeing bets, a fair coin; 250,000 trials."""
+    rng = np.random.default_rng([seed, *b"montecarlo"])
+    n_flips, horizon = 1000, 1000 * 1000
+    rest = np.sort(rng.choice(horizon - 1, n_flips - 1, replace=False)) + 1
+    flip_times = np.concatenate(([0], rest))
+    chosen = np.sort(rng.choice(n_flips, 10, replace=False))
+    ends = np.append(flip_times[1:], horizon)
+    bets = []
+    for e in chosen.tolist():
+        face = H if rng.random() < 0.5 else T
+        bets += [Bet(int(t), face) for t in np.sort(rng.integers(flip_times[e], ends[e], 3))]
+    return GameConfig(horizon=horizon), flip_times.tolist(), bets, int(rng.integers(2**63))
+
+
 class TestMonteCarloCompound:
     def test_paradox_estimate_near_half(self):
         mc = monte_carlo_compound(
@@ -335,6 +384,19 @@ class TestMonteCarloCompound:
         )
         assert mc == MonteCarloEstimate(trials=10**4, successes=10**4, estimate=1.0, standard_error=0.0)
 
+    @pytest.mark.parametrize("bias,face", [(1.0, H), (0.0, T)])
+    def test_a_certain_face_needs_no_draw(self, monkeypatch, bias, face):
+        def no_draws(*args):
+            raise AssertionError("the stream was evaluated")
+
+        monkeypatch.setattr(significance, "_random_at", no_draws)
+        flip_times = [float(i) for i in range(1000)]
+        bets = [Bet(t + 0.5, face) for t in flip_times]
+        mc = monte_carlo_compound(
+            GameConfig(horizon=1000.0, coin_bias=bias), flip_times, bets, trials=10**6, base_seed=6
+        )
+        assert mc.successes == 10**6
+
     def test_conflicting_epoch_never_wins(self):
         mc = monte_carlo_compound(
             GameConfig(horizon=1.0),
@@ -351,12 +413,56 @@ class TestMonteCarloCompound:
 
     def test_chunking_does_not_change_the_count(self, monkeypatch):
         args = (GameConfig(horizon=1.0), [0.0, 0.4], [Bet(0.2, H), Bet(0.6, T)])
-        row_bytes = 8 * 2  # one double per flip
+        row_bytes = 16 * 8  # the stream's working memory per trial
         monkeypatch.setattr(significance, "_BATCH_BYTES", 30_000 * row_bytes)
         one_shot = monte_carlo_compound(*args, trials=30_000, base_seed=7)
         monkeypatch.setattr(significance, "_BATCH_BYTES", 999 * row_bytes)
         chunked = monte_carlo_compound(*args, trials=30_000, base_seed=7)
         assert one_shot == chunked
+
+    @given(game=epoch_games(), trials=st.integers(1, 2000), seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    @example(game=(GameConfig(horizon=1.0), [0.0], [Bet(0.5, H)]), trials=2000, seed=0)
+    @example(
+        game=(GameConfig(horizon=2.0, coin_bias=0.0), [0.0, 1.0], [Bet(0.5, T), Bet(1.5, T)]),
+        trials=100,
+        seed=2**64 - 1,
+    )
+    @example(
+        game=(GameConfig(horizon=2.0, coin_bias=0.0), [0.0, 1.0], [Bet(0.5, T), Bet(1.5, H)]),
+        trials=100,
+        seed=1,
+    )
+    @example(
+        game=(GameConfig(horizon=2.0, coin_bias=1.0), [0.0, 1.0], [Bet(0.5, H), Bet(1.5, H)]),
+        trials=100,
+        seed=2,
+    )
+    @example(
+        game=(GameConfig(horizon=2.0, coin_bias=1.0), [0.0, 1.0], [Bet(0.5, H), Bet(1.5, T)]),
+        trials=100,
+        seed=3,
+    )
+    @example(game=(GameConfig(horizon=1.0), [0.0], [Bet(0.3, H), Bet(0.7, T)]), trials=100, seed=4)
+    @example(
+        game=(
+            GameConfig(horizon=100.0, coin_bias=0.97),
+            [float(i) for i in range(100)],
+            [Bet(i + 0.5, H) for i in range(100)],
+        ),
+        trials=2000,
+        seed=5,
+    )
+    def test_equals_the_bulk_draw(self, game, trials, seed):
+        config, flip_times, bets = game
+        mc = monte_carlo_compound(config, flip_times, bets, trials=trials, base_seed=seed)
+        assert mc.successes == _bulk_successes(config, flip_times, bets, trials, seed)
+
+    @pytest.mark.parametrize("seed,successes", [(1, 225), (2, 254), (3, 234)])
+    def test_benchmark_shaped_counts_are_pinned(self, seed, successes):
+        config, flip_times, bets, base_seed = _montecarlo_inputs(seed)
+        mc = monte_carlo_compound(config, flip_times, bets, trials=250_000, base_seed=base_seed)
+        assert mc.successes == successes
 
     @pytest.mark.parametrize("field", ["trials", "base_seed"])
     def test_bool_trials_and_seed_rejected(self, field):
@@ -425,6 +531,9 @@ class TestMonteCarloCompound:
         assert abs(mc.estimate - q) <= tolerance
 
 
+INDEX_RANGE = rf"in \[0, {2**64 - 1}\]"
+
+
 class TestDeriveSeed:
     def test_deterministic_and_64_bit(self):
         assert derive_seed(7, 3) == derive_seed(7, 3)
@@ -441,5 +550,11 @@ class TestDeriveSeed:
             derive_seed(base_seed, 0)
 
     def test_negative_index_rejected(self):
-        with pytest.raises(DomainError, match="index must be an integer >= 0, got -1"):
+        with pytest.raises(DomainError, match=rf"index must be an integer {INDEX_RANGE}, got -1"):
             derive_seed(7, -1)
+
+    @pytest.mark.parametrize("index", [2**64, 2**64 + 3, 2**70])
+    def test_index_outside_64_bits_rejected(self, index):
+        # Only the low 64 bits would reach the result: 2**64 would alias index 0.
+        with pytest.raises(DomainError, match=rf"index must be an integer {INDEX_RANGE}, got {index}"):
+            derive_seed(7, index)
