@@ -7,90 +7,22 @@ were independent events and as they really are, conditioned on the flip
 schedule. Significance tools (exact binomial tails, random-reproduction
 p-values over effective events, bet-time randomization tests) measure how
 hard the record is to reproduce by chance.
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports every one of them, with the error classes and ``__version__``.
 """
 
+from . import game, probability, report, significance
 from .errors import CsvFormatError, DomainError, FlipBetError, ValidationError
-from .game import (
-    Bet,
-    Face,
-    Flip,
-    GameConfig,
-    GameTrace,
-    coin_state_at,
-    make_trace,
-    simulate_game,
-)
-from .probability import (
-    EpochGrouping,
-    effective_event_count,
-    group_by_epoch,
-    naive_compound_probability,
-    pairwise_conditional_probability,
-    true_compound_probability,
-)
-from .report import (
-    AnalysisOptions,
-    AnalysisReport,
-    analyze,
-    load_bets,
-    load_flips,
-    report_from_dict,
-    report_from_json,
-    report_to_dict,
-    report_to_json,
-    trace_from_dict,
-    trace_to_dict,
-)
-from .significance import (
-    MonteCarloEstimate,
-    RandomizationResult,
-    binomial_pmf,
-    derive_seed,
-    losing_probability,
-    monte_carlo_compound,
-    random_reproduction_pvalue,
-    randomization_test,
-)
+from .game import *  # noqa: F403
+from .probability import *  # noqa: F403
+from .report import *  # noqa: F403
+from .significance import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisOptions",
-    "AnalysisReport",
-    "Bet",
-    "CsvFormatError",
-    "DomainError",
-    "EpochGrouping",
-    "Face",
-    "Flip",
-    "FlipBetError",
-    "GameConfig",
-    "GameTrace",
-    "MonteCarloEstimate",
-    "RandomizationResult",
-    "ValidationError",
-    "analyze",
-    "binomial_pmf",
-    "coin_state_at",
-    "derive_seed",
-    "effective_event_count",
-    "group_by_epoch",
-    "load_bets",
-    "load_flips",
-    "losing_probability",
-    "make_trace",
-    "monte_carlo_compound",
-    "naive_compound_probability",
-    "pairwise_conditional_probability",
-    "random_reproduction_pvalue",
-    "randomization_test",
-    "report_from_dict",
-    "report_from_json",
-    "report_to_dict",
-    "report_to_json",
-    "simulate_game",
-    "trace_from_dict",
-    "trace_to_dict",
-    "true_compound_probability",
-    "__version__",
-]
+__all__ = sorted(
+    {"CsvFormatError", "DomainError", "FlipBetError", "ValidationError", "__version__"}.union(
+        *(module.__all__ for module in (game, probability, report, significance))
+    )
+)

@@ -99,7 +99,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = GameConfig(horizon=args.horizon, coin_bias=args.bias, seed=args.seed)
     bets = _columns([], [])
     if args.bets is not None:
-        bets = _Columns(*_read_log(args.bets, "prediction"))
+        bets = _Columns(*_read_log(args.bets, Bet))
     trace = _simulate(config, _columns(args.flip_times), bets)
     text = _trace_json(trace)
     if args.out is not None:
@@ -111,8 +111,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     options = AnalysisOptions(randomization_trials=args.randomize, seed=args.seed)
-    flip_times, flip_heads = _read_log(args.flips, "outcome", distinct=True)
-    bet_times, bet_heads = _read_log(args.bets, "prediction")
+    flip_times, flip_heads = _read_log(args.flips, Flip)
+    bet_times, bet_heads = _read_log(args.bets, Bet)
     horizon = args.horizon
     if horizon is None:
         latest = max(flip_times.max(initial=0.0), bet_times.max(initial=0.0)).item()

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import reprlib
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -196,20 +197,26 @@ def _is_number(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+_SHOWN_ITEMS = 8  # a list longer than this is quoted by its first items and its length
+
+
+@reprlib.recursive_repr("[...]")  # a list that holds itself, as repr writes it
 def _shown(value: object) -> str:
     """A caller's value as a message quotes it: its ``repr``, with a str
-    longer than 32 characters cut to its first 32 and its length, or a
-    bounded form where ``repr`` refuses an int longer than the
+    longer than 32 characters cut to its first 32 and its length, a list
+    shown item by item through this rule and cut after ``_SHOWN_ITEMS``
+    items, or a bounded form where ``repr`` refuses an int longer than the
     interpreter's digit limit (4300 digits by default)."""
     if isinstance(value, str) and len(value) > 32:
         return f"{value[:32]!r}... ({len(value)} characters)"
+    if isinstance(value, list):
+        more = f", ... ({len(value)} items)" if len(value) > _SHOWN_ITEMS else ""
+        return f"[{', '.join(map(_shown, value[:_SHOWN_ITEMS]))}{more}]"
     try:
         return repr(value)
     except ValueError:
         if isinstance(value, int):
             return f"<int of {value.bit_length()} bits>"
-        if isinstance(value, list):
-            return f"[{', '.join(map(_shown, value))}]"
         return f"<unprintable {type(value).__name__} object>"
 
 
@@ -528,7 +535,9 @@ class GameTrace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.config, self.flips, self.bets))
+        # The columns' values, not the records, which a column-built trace
+        # would build. Adding 0.0 turns -0.0, equal to 0.0, into 0.0.
+        return hash((self.config, *((c + 0.0).tobytes() for c in self._column_tuple())))
 
     def __repr__(self) -> str:
         return (

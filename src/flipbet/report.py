@@ -8,9 +8,9 @@ are stably sorted by time):
 * bets: ``time,prediction`` with prediction in {H, T}.
 
 The analysis report is a single JSON object whose field names match
-:class:`AnalysisReport`. Probabilities are plain decimal numbers, rounded
-to at most 12 significant digits at construction so that serializing and
-re-parsing a report reproduces it exactly.
+:class:`AnalysisReport`. Probabilities are plain decimal numbers;
+:func:`analyze` rounds them to at most 12 significant digits, so that
+serializing and re-parsing a report reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -129,30 +129,28 @@ class AnalysisReport:
     randomization: tuple[RandomizationResult, ...] | None = None
 
 
-def _read_log(
-    path: str | Path, value_name: str, *, distinct: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column time/face CSV into (times, heads) columns.
+def _read_log(path: str | Path, record: type[Flip] | type[Bet]) -> tuple[np.ndarray, np.ndarray]:
+    """Read a flip log (``record`` is Flip) or a bet log (Bet) into (times, heads) columns.
 
     The file is read once, so a pipe works as a log. A log in the common
     subset of the grammar is parsed without a per-row loop
     (:func:`_subset_columns`); any other log goes through the per-row
-    reader, the one source of error messages. Rows are then stably sorted
-    by time, so equal times keep file order; with ``distinct``, equal
-    times are an error.
+    reader, the one source of error messages, which names the face column
+    after the record's face field. Rows are then stably sorted by time, so
+    equal times keep file order; in a flip log, equal times are an error.
     """
     path = Path(path)
     data = path.read_bytes()
     columns = _subset_columns(data)
     if columns is None:
-        columns = _read_rows(path, data, value_name)
+        columns = _read_rows(path, data, fields(record)[1].name)
     t, is_heads, lines = columns  # lines[i]: the line of row i
     order = None
     if (t[1:] < t[:-1]).any():
         order = np.argsort(t, kind="stable")
         t, is_heads = t[order], is_heads[order]
     equal = t[1:] == t[:-1]
-    if distinct and equal.any():
+    if record is Flip and equal.any():
         i = int(equal.argmax()) + 1
         problem = f"duplicate flip time {t[i].item()!r}"
         line = lines[i if order is None else int(order[i])]
@@ -279,12 +277,12 @@ def load_flips(path: str | Path) -> list[Flip]:
         CsvFormatError: Malformed row, out-of-range time, unknown face
             token, or duplicate flip time (all with the offending line).
     """
-    return list(_records(Flip, *_read_log(path, "outcome", distinct=True)))
+    return list(_records(Flip, *_read_log(path, Flip)))
 
 
 def load_bets(path: str | Path) -> list[Bet]:
     """Read a bet log. Rows are returned time-ordered; equal times keep file order."""
-    return list(_records(Bet, *_read_log(path, "prediction")))
+    return list(_records(Bet, *_read_log(path, Bet)))
 
 
 def analyze(trace: GameTrace, options: AnalysisOptions | None = None) -> AnalysisReport:
@@ -415,22 +413,17 @@ def _trace_json(trace: GameTrace) -> str:
     """``json.dumps(trace_to_dict(trace), indent=2)``, written from the columns.
 
     The C encoder writes each column's scalars and a fixed template joins
-    them, so no record or dict is built per row. A trace built from
-    records writes its caller's times, as :func:`trace_to_dict` does.
+    them, so no record or dict is built per row. Times are written from
+    the float columns, so a trace built from records with int times writes
+    them as floats, where :func:`trace_to_dict` keeps them as given.
     """
     config = trace.config
     return _TRACE_JSON.format(
         *map(json.dumps, (config.horizon, config.coin_bias, config.seed)),
-        _json_rows("outcome", _given_times(trace, "flips", trace._flip_times), trace._flip_heads),
-        _json_rows("prediction", _given_times(trace, "bets", trace._bet_times), trace._bet_heads),
+        _json_rows("outcome", trace._flip_times.tolist(), trace._flip_heads),
+        _json_rows("prediction", trace._bet_times.tolist(), trace._bet_heads),
         _json_list(map("    ".__add__, _scalars(trace._won.tolist()))),
     )
-
-
-def _given_times(trace: GameTrace, name: str, column: np.ndarray) -> list:
-    """The times of ``trace.flips`` or ``trace.bets`` without building those records."""
-    records = vars(trace).get(name)  # kept as the caller gave them, or cached
-    return column.tolist() if records is None else [r.time for r in records]
 
 
 def _scalars(values: list) -> list[str]:

@@ -185,28 +185,20 @@ def _binomial_tail(lo: int, hi: int, n: int, p: float) -> float:
     """
     anchor = min(max(int((n + 1) * p), lo), hi)
     anchor_term = binomial_pmf(anchor, n, p)
-    total = anchor_term
-    carry = 0.0
-
-    def add(x: float) -> None:
-        nonlocal total, carry
-        y = x - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-
-    term = anchor_term
-    for k in range(anchor, lo, -1):  # extend down to lo
-        term *= (k * (1.0 - p)) / ((n - k + 1) * p)
-        if term == 0.0:
-            break
-        add(term)
-    term = anchor_term
-    for k in range(anchor, hi):  # extend up to hi
-        term *= ((n - k) * p) / ((k + 1) * (1.0 - p))
-        if term == 0.0:
-            break
-        add(term)
+    total, carry, q = anchor_term, 0.0, 1.0 - p
+    # Down to lo, then up to hi. Down from term k the ratio is
+    # k*q / ((n-k+1)*p), up it is (n-k)*p / ((k+1)*q): both are
+    # a*u / ((n+1-a)*v), with a = k going down and a = n - k going up.
+    for a_values, u, v in ((range(anchor, lo, -1), q, p), (range(n - anchor, n - hi, -1), p, q)):
+        term = anchor_term
+        for a in a_values:
+            term *= (a * u) / ((n + 1 - a) * v)
+            if term == 0.0:
+                break
+            addend = term - carry
+            t = total + addend
+            carry = (t - total) - addend
+            total = t
     return min(total, 1.0)
 
 

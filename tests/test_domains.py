@@ -261,3 +261,30 @@ def test_an_int_too_long_to_write_is_shown_by_its_bit_length():
     with pytest.raises(ValidationError) as err:
         GameTrace(CONFIG, TRACE.flips, TRACE.bets, resolutions=[True, OVERSIZED])
     assert err.value.problems == ("resolutions must be booleans, got [True, <int of 16610 bits>]",)
+
+
+_LOOP: list = []
+_LOOP.append(_LOOP)
+
+# resolutions -> how the message quotes them
+QUOTED_LISTS = {
+    "long str": (["x" * 100_000], "['xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'... (100000 characters)]"),
+    "many items": (
+        [True] * 10**6 + [1],
+        "[True, True, True, True, True, True, True, True, ... (1000001 items)]",
+    ),
+    "holds itself": (_LOOP, "[[[...]]]"),
+}
+
+
+@pytest.mark.parametrize("name", QUOTED_LISTS)
+def test_a_list_is_quoted_item_by_item_and_cut(name):
+    resolutions, quoted = QUOTED_LISTS[name]
+    with pytest.raises(ValidationError) as err:
+        GameTrace(CONFIG, TRACE.flips, TRACE.bets, resolutions=resolutions)
+    assert err.value.problems == (f"resolutions must be booleans, got {quoted}",)
+    doc = trace_to_dict(TRACE)
+    doc["resolutions"] = resolutions
+    with pytest.raises(ValidationError) as err:
+        trace_from_dict(doc)
+    assert len(str(err.value)) < 300

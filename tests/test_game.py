@@ -221,8 +221,8 @@ class TestTraceObject:
         bets.write_text("1.5,T\n0.5,H\n2,T\n")
         trace = GameTrace._from_columns(
             GameConfig(horizon=3.0),
-            _Columns(*_read_log(flips, "outcome", distinct=True)),
-            _Columns(*_read_log(bets, "prediction")),
+            _Columns(*_read_log(flips, Flip)),
+            _Columns(*_read_log(bets, Bet)),
         )
         assert "bets" not in vars(trace)  # built on first access
         assert trace.bets == tuple(load_bets(bets))
@@ -234,6 +234,17 @@ class TestTraceObject:
         )
         assert trace == paradox_trace
         assert hash(trace) == hash(paradox_trace)
+
+    def test_hash_reads_the_columns(self):
+        # A flip and a bet at -0.0 equal ones at 0.0, so the traces hash
+        # equal; hashing builds no records.
+        config = GameConfig(horizon=1.0)
+        zero = GameTrace._from_columns(config, _columns([0.0], [H]), _columns([0.0], [T]))
+        minus = GameTrace._from_columns(config, _columns([-0.0], [H]), _columns([-0.0], [T]))
+        assert minus == zero and hash(minus) == hash(zero)
+        assert "flips" not in vars(minus) and "bets" not in vars(minus)
+        heads = GameTrace._from_columns(config, _columns([0.0], [H]), _columns([0.0], [H]))
+        assert hash(heads) != hash(zero)
 
     def test_repr(self, paradox_trace):
         heads = "<Face.HEADS: 'H'>"

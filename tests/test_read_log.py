@@ -151,7 +151,7 @@ def _check_against_reference(tmp_path: Path, text: str | bytes) -> None:
     assert _outcome(load_bets, path) == expected_bets
     expected_flips = _outcome(_reference_flips, path)
     assert _outcome(load_flips, path) == expected_flips
-    columns = _outcome(lambda p: report._read_log(p, "prediction"), path)
+    columns = _outcome(lambda p: report._read_log(p, Bet), path)
     if isinstance(expected_bets, list):
         times, heads = columns
         assert times.tolist() == [b.time for b in expected_bets]
@@ -391,7 +391,7 @@ def test_benchmark_shaped_log_takes_the_fast_path(tmp_path, monkeypatch):
         raise AssertionError("the per-row reader ran")
 
     monkeypatch.setattr(report.csv, "reader", no_per_row_reader)
-    times, heads = report._read_log(path, "prediction")
+    times, heads = report._read_log(path, Bet)
     assert times.tolist() == [t for t, _, _ in expected]
     assert heads.tolist() == [face is Face.HEADS for _, face, _ in expected]
 
@@ -411,7 +411,7 @@ def _through_a_fifo(tmp_path: Path, text: str, read):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_subset_log_read_from_a_fifo(tmp_path):
-    times, heads = _through_a_fifo(tmp_path, SUBSET_LOG, lambda p: report._read_log(p, "prediction"))
+    times, heads = _through_a_fifo(tmp_path, SUBSET_LOG, lambda p: report._read_log(p, Bet))
     assert times.tolist() == [0.0, 1.0, 2.5, 2.5]
     assert heads.tolist() == [True, False, False, True]
 

@@ -349,16 +349,18 @@ class TestTraceJson:
             trace.flips, trace.bets  # records built from the columns and cached
         assert _trace_json(trace) == _indented_dump(trace)
 
-    def test_integer_times_and_config_written_as_given(self):
-        trace = make_trace(
-            GameConfig(horizon=3, coin_bias=1, seed=np.uint64(7)),
-            [Flip(0, H), Flip(2.0, H)],
-            [Bet(1, H), Bet(2, T), Bet(2.5, H)],
-        )
+    def test_config_as_given_and_times_from_columns(self):
+        # The writer reads the trace's float time columns, so int times come
+        # out as floats; trace_to_dict keeps them as given
+        # (test_trace_dict_keeps_integer_times_as_given).
+        config = GameConfig(horizon=3, coin_bias=1, seed=np.uint64(7))
+        trace = make_trace(config, [Flip(0, H), Flip(2.0, H)], [Bet(1, H), Bet(2, T), Bet(2.5, H)])
         text = _trace_json(trace)
-        assert text == _indented_dump(trace)
+        float_times = make_trace(
+            config, [Flip(0.0, H), Flip(2.0, H)], [Bet(1.0, H), Bet(2.0, T), Bet(2.5, H)]
+        )
+        assert text == _indented_dump(float_times)
         assert '"horizon": 3,' in text and '"coin_bias": 1,' in text
-        assert '"time": 1,' in text and '"time": 2.0,' in text
 
     def test_no_bets_is_an_empty_list(self):
         trace = simulate_game(GameConfig(horizon=1.0, seed=4), [0.0, 0.5], [])
