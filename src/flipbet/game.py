@@ -65,63 +65,6 @@ def _generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Philox4x64-10 (Salmon et al., SC 2011): round multipliers and key increments.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-
-
-def _random_at(key: int, positions: np.ndarray) -> np.ndarray:
-    """The doubles at ``positions`` (a uint64 array) of ``_generator(key).random()``.
-
-    numpy's Philox fills double ``d`` from word ``d % 4`` of the block at
-    counter ``(d // 4 + 1, 0, 0, 0)`` under the key ``(key, 0)``, so any
-    double of the stream can be computed on its own. The key schedule runs
-    on Python ints, where overflow neither wraps silently nor warns.
-    """
-    blocks = positions // np.uint64(4)
-    # Positions of a short schedule share blocks: evaluate each run of
-    # equal neighbouring blocks once.
-    first = np.empty(len(blocks), bool)
-    first[:1] = True
-    np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
-    zero = np.zeros(np.count_nonzero(first), np.uint64)
-    x0, x1, x2, x3 = blocks[first] + np.uint64(1), zero, zero, zero
-    k0, k1 = key, 0
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        hi1 ^= x1
-        hi1 ^= np.uint64(k0)
-        hi0 ^= x3
-        hi0 ^= np.uint64(k1)
-        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
-        k0, k1 = (k0 + _PHILOX_W[0]) & _MAX_SEED, (k1 + _PHILOX_W[1]) & _MAX_SEED
-    # Word d % 4 of the run that holds position d.
-    index = (positions & np.uint64(3)).view(np.int64)
-    index += (np.cumsum(first, dtype=np.int64) - 1) * 4
-    words = np.stack((x0, x1, x2, x3), axis=1).ravel()[index]
-    return (words >> np.uint64(11)) * 2.0**-53
-
-
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products ``a * b``, from 32-bit halves."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, hi = b & _LOW32, b >> _SHIFT32
-    low_cross = b_lo * a_lo
-    low_cross >>= _SHIFT32
-    cross = b_lo * a_hi
-    cross += low_cross
-    high_cross = hi * a_lo
-    high_cross += cross & _LOW32
-    high_cross >>= _SHIFT32
-    cross >>= _SHIFT32
-    hi *= a_hi
-    hi += cross
-    hi += high_cross
-    return hi, b * np.uint64(a)
-
-
 class Face(enum.Enum):
     """One of the two coin faces; also the value of a bet's prediction."""
 
@@ -197,27 +140,37 @@ def _is_number(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-_SHOWN_ITEMS = 8  # a list longer than this is quoted by its first items and its length
+_SHOWN_ITEMS = 8  # a list or tuple longer than this is quoted by its first items and its length
+_SHOWN_REPR = 100  # any other repr longer than this, except an int's, is quoted by its start
 
 
 @reprlib.recursive_repr("[...]")  # a list that holds itself, as repr writes it
 def _shown(value: object) -> str:
     """A caller's value as a message quotes it: its ``repr``, with a str
-    longer than 32 characters cut to its first 32 and its length, a list
-    shown item by item through this rule and cut after ``_SHOWN_ITEMS``
-    items, or a bounded form where ``repr`` refuses an int longer than the
-    interpreter's digit limit (4300 digits by default)."""
+    longer than 32 characters cut to its first 32 and its length, a list or
+    tuple shown item by item through this rule and cut after
+    ``_SHOWN_ITEMS`` items, and any other ``repr`` longer than
+    ``_SHOWN_REPR`` cut to its first ``_SHOWN_REPR`` characters and its
+    length. An int is shown whole, or by its bit length where ``repr``
+    refuses one longer than the interpreter's digit limit (4300 digits by
+    default)."""
     if isinstance(value, str) and len(value) > 32:
         return f"{value[:32]!r}... ({len(value)} characters)"
-    if isinstance(value, list):
-        more = f", ... ({len(value)} items)" if len(value) > _SHOWN_ITEMS else ""
-        return f"[{', '.join(map(_shown, value[:_SHOWN_ITEMS]))}{more}]"
+    if isinstance(value, (list, tuple)):
+        items = ", ".join(map(_shown, value[:_SHOWN_ITEMS]))
+        items += f", ... ({len(value)} items)" if len(value) > _SHOWN_ITEMS else ""
+        if isinstance(value, list):
+            return f"[{items}]"
+        return f"({items},)" if len(value) == 1 else f"({items})"
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
         if isinstance(value, int):
             return f"<int of {value.bit_length()} bits>"
         return f"<unprintable {type(value).__name__} object>"
+    if len(text) > _SHOWN_REPR and not isinstance(value, int):
+        return f"{text[:_SHOWN_REPR]}... ({len(text)} characters)"
+    return text
 
 
 def _integer(value: object, name: str, lo: int | None = 0, hi: int | None = None) -> int:

@@ -41,7 +41,6 @@ from .game import (
     _integer,
     _is_number,
     _probability,
-    _random_at,
     _record_columns,
     _seed,
     _shown,
@@ -66,10 +65,10 @@ _EXACT_COMB_LIMIT = 1000
 # with a one-unit margin against the subnormal boundary).
 _LOG_MIN_NORMAL = math.log(2.2250738585072014e-308) + 1.0
 
-# Working memory of one Monte Carlo batch. Evaluating the stream holds
-# about 16 words of 8 bytes per trial at once, so a batch holds
-# _BATCH_BYTES // 128 trials. The estimate does not depend on it: trial i
-# always reads its flips at the same positions of the stream.
+# Working memory of one Monte Carlo batch: one double per trial for the
+# epoch being drawn, so a batch holds _BATCH_BYTES // 8 trials. The
+# estimate does not depend on it: each epoch's stream is read in order,
+# batch after batch.
 _BATCH_BYTES = 8 << 20
 
 
@@ -303,25 +302,23 @@ def monte_carlo_compound(
     """Estimate the probability that every bet wins, by repeated play.
 
     The fraction of independently simulated games in which all bets won,
-    with its binomial standard error. Flip j of trial i is the double at
-    position ``i * len(flip_times) + j`` of the counter-based random stream
-    keyed by ``base_seed``, so the result does not depend on chunking or
-    evaluation order and parallel runs reproduce serial ones.
+    with its binomial standard error. Trial i sees flip j as double i of
+    the random stream keyed by ``derive_seed(base_seed, j)``, so the result
+    does not depend on chunking or evaluation order and parallel runs
+    reproduce serial ones; an m-trial run sees the first m trials of any
+    longer one.
 
-    Only the draws the estimate reads are computed: the occupied epochs
-    are tested least likely face first, each for the trials that are still
-    winning, and a certain face (bias 0 or 1) needs no draw. The cost is
-    about 300 ns per draw read (less where neighbouring draws share a
-    Philox block), not about 10 ns per flip of every trial, so a schedule
-    of few flips costs more than a bulk draw would, and a sparse one far
-    less.
+    Only the flips that govern a bet are drawn: each occupied epoch reads
+    one contiguous run of its own stream per batch of trials, and a
+    certain face (bias 0 or 1) needs no draw.
 
     Args:
         config: Game parameters; the coin bias drives each flip.
         flip_times: Same schedule contract as :func:`~flipbet.game.simulate_game`.
         bet_plan: Bets to resolve in every simulated game.
         trials: Number of simulated games (>= 1).
-        base_seed: Key of the random stream, in ``[0, 2**64 - 1]``.
+        base_seed: Seed from which each flip's stream is derived, in
+            ``[0, 2**64 - 1]``.
 
     Raises:
         DomainError: If ``trials`` < 1 or ``base_seed`` is out of range.
@@ -333,9 +330,6 @@ def monte_carlo_compound(
     flips = _columns(flip_times)
     _check_schedule(config.horizon, flips, _record_columns(bets, "prediction"))
     times = flips.times.tolist()
-
-    if not bets:
-        return MonteCarloEstimate(trials, trials, 1.0, 0.0)
 
     # One required face per occupied epoch; a conflicting epoch makes the
     # joint win impossible in every trial. Derived here on purpose rather
@@ -356,21 +350,19 @@ def monte_carlo_compound(
         if any(face is not shown for face in required.values()):
             return MonteCarloEstimate(trials, 0, 0.0, 0.0)
         required = {}
-    # The least likely face first: most trials drop out there, and each
-    # later epoch computes the doubles of the trials still winning only.
-    chance = {Face.HEADS: bias, Face.TAILS: 1.0 - bias}
-    order = sorted(required, key=lambda e: (chance[required[e]], e))
-    n_flips = np.uint64(len(times))
-    rows = max(1, _BATCH_BYTES // (16 * 8))
+    if not required:
+        return MonteCarloEstimate(trials, trials, 1.0, 0.0)
+    streams = [
+        (_generator(derive_seed(base_seed, e)), face is Face.HEADS) for e, face in required.items()
+    ]
+    rows = max(1, _BATCH_BYTES // 8)
     wins = 0
     for start in range(0, trials, rows):
-        alive = np.arange(start, min(start + rows, trials), dtype=np.uint64)
-        for epoch in order:
-            if not len(alive):
-                break
-            heads = _random_at(base_seed, alive * n_flips + np.uint64(epoch)) < bias
-            alive = alive[heads == (required[epoch] is Face.HEADS)]
-        wins += len(alive)
+        size = min(rows, trials - start)
+        won = np.ones(size, bool)
+        for stream, heads in streams:
+            won &= (stream.random(size) < bias) == heads
+        wins += int(np.count_nonzero(won))
     estimate = wins / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return MonteCarloEstimate(trials, wins, estimate, stderr)

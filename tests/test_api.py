@@ -1,12 +1,15 @@
 """The public API: each module's ``__all__``, pinned, and every name in it resolves.
 
-A name leaves or joins the public API only by a change to this table.
+A name leaves or joins the public API only by a change to this table. The
+package's one random source is pinned here too, by reading its source.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +114,37 @@ def test_every_module_with_an_all_is_pinned():
     modules = ["flipbet"] + [f"flipbet.{m.name}" for m in pkgutil.iter_modules(flipbet.__path__)]
     declared = [m for m in modules if hasattr(importlib.import_module(m), "__all__")]
     assert sorted(declared) == sorted(PUBLIC)
+
+
+def _random_uses() -> list[tuple[str, str, str]]:
+    """(module, top-level name, use) for every ``np.random`` reference and
+    every import of ``random`` or ``numpy.random`` in the package source."""
+    uses = []
+    for path in sorted(Path(flipbet.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text(), path.name).body:
+            owner = getattr(statement, "name", "<module>")
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "random"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")
+                ):
+                    uses.append((path.stem, owner, "np.random"))
+                    continue
+                else:
+                    continue
+                for name in names:
+                    if name.split(".")[0] == "random" or name.startswith("numpy.random"):
+                        uses.append((path.stem, owner, f"import {name}"))
+    return uses
+
+
+def test_the_one_random_source_is_game_generator():
+    # Every seeded draw comes from game._generator: no module imports
+    # `random`, and only that function names numpy's random module.
+    assert sorted(set(_random_uses())) == [("game", "_generator", "np.random")]

@@ -288,3 +288,59 @@ def test_a_list_is_quoted_item_by_item_and_cut(name):
     with pytest.raises(ValidationError) as err:
         trace_from_dict(doc)
     assert len(str(err.value)) < 300
+
+
+def _randomization_trials(value: object) -> dict:
+    doc = report_to_dict(analyze(TRACE, AnalysisOptions(randomization_trials=10)))
+    doc["randomization"][0]["trials"] = value
+    return doc
+
+
+# Each call quotes a container that holds a 100,000-character str.
+LONG_CONTAINERS = {
+    "randomization_test.interval tuple": (
+        lambda: randomization_test(TRACE, 0, interval=("x" * 100_000,))
+    ),
+    "Flip.outcome tuple": lambda: make_trace(CONFIG, [Flip(0.0, ("x" * 100_000,))], []),
+    "Bet.prediction dict": (
+        lambda: make_trace(CONFIG, [Flip(0.0, H)], [Bet(0.5, {"k": "q" * 100_000})])
+    ),
+    "Bet.time array": (
+        lambda: make_trace(CONFIG, [Flip(0.0, H)], [Bet(np.array(["q" * 100_000]), H)])
+    ),
+    "report_from_dict.randomization.trials tuple": (
+        lambda: report_from_dict(_randomization_trials(("z" * 100_000,)))
+    ),
+}
+
+
+@pytest.mark.parametrize("call", LONG_CONTAINERS)
+def test_a_long_container_gets_a_short_message(call):
+    with pytest.raises(FlipBetError) as err:
+        LONG_CONTAINERS[call]()
+    assert len(str(err.value)) < 300
+
+
+# interval -> how the message quotes it
+QUOTED_TUPLES = {
+    "one long str": (("x" * 100_000,), "('xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'... (100000 characters),)"),
+    "many items": ((0.5,) * 9, "(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ... (9 items))"),
+    "empty": ((), "()"),
+}
+
+
+@pytest.mark.parametrize("name", QUOTED_TUPLES)
+def test_a_tuple_is_quoted_item_by_item_and_cut(name):
+    interval, quoted = QUOTED_TUPLES[name]
+    with pytest.raises(DomainError) as err:
+        randomization_test(TRACE, 0, interval=interval)
+    assert str(err.value) == f"interval must be a (lo, hi) pair, got {quoted}"
+
+
+def test_any_other_long_repr_is_quoted_by_its_first_100_characters():
+    prediction = {"k": "q" * 100_000}
+    with pytest.raises(ValidationError) as err:
+        make_trace(CONFIG, [Flip(0.0, H)], [Bet(0.5, prediction)])
+    assert err.value.problems == (
+        f"bet[0] prediction is not a Face: {repr(prediction)[:100]}... (100009 characters)",
+    )

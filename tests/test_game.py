@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from flipbet import (
@@ -26,8 +26,8 @@ from flipbet import (
     simulate_game,
     trace_to_dict,
 )
-from conftest import faces, game_inputs, seeds, traces
-from flipbet.game import _columns, _Columns, _random_at
+from conftest import faces, game_inputs, traces
+from flipbet.game import _columns, _Columns
 from flipbet.report import _read_log
 
 H, T = Face.HEADS, Face.TAILS
@@ -398,32 +398,6 @@ class TestSimulateGame:
             GameConfig(horizon=1.0), [Flip(0.0, outcome)], [Bet(0.0, face)]
         )
         assert trace.resolutions == (face is outcome,)
-
-
-class TestRandomAt:
-    """The random-access stream against numpy's own Philox generator."""
-
-    @given(
-        key=st.one_of(st.sampled_from([0, 2**64 - 1]), seeds),
-        positions=st.lists(st.integers(0, 4095), min_size=1, max_size=40),
-    )
-    @example(key=0, positions=list(range(12)))  # every lane, across two block boundaries
-    @example(key=2**64 - 1, positions=[7, 3, 4, 0, 11, 8, 8, 5])
-    def test_matches_the_bulk_stream(self, key, positions):
-        stream = np.random.Generator(np.random.Philox(key=key)).random(max(positions) + 1)
-        got = _random_at(key, np.array(positions, dtype=np.uint64))
-        assert got.tolist() == stream[positions].tolist()
-
-    @given(key=seeds, position=st.integers(0, 2**64 - 1))
-    @example(key=2**64 - 1, position=2**64 - 1)
-    def test_matches_the_stream_at_any_counter(self, key, position):
-        # numpy computes block c + 1 next when its counter reads c.
-        bit_generator = np.random.Philox(key=key)
-        state = bit_generator.state
-        state["state"]["counter"][0] = position // 4
-        bit_generator.state = state
-        expected = np.random.Generator(bit_generator).random(4)[position % 4]
-        assert _random_at(key, np.array([position], dtype=np.uint64)).tolist() == [expected]
 
 
 @pytest.mark.parametrize("bias", [0.3, 0.5, 0.9])

@@ -32,7 +32,6 @@ from flipbet import (
     true_compound_probability,
 )
 from conftest import faces, seeds
-from flipbet.game import _generator
 
 H, T = Face.HEADS, Face.TAILS
 
@@ -307,18 +306,20 @@ class TestRandomizationResult:
             RandomizationResult(trials=trials, changed=changed)
 
 
-def _bulk_successes(config, flip_times, bets, trials, seed):
-    """The reference Monte Carlo kernel: draw every flip of every trial, row by
-    row from one stream, and count the rows that win at each occupied epoch."""
-    required = {}
+def _bulk_wins(config, flip_times, bets, trials, seed):
+    """The reference Monte Carlo kernel: draw every flip of every trial, flip j
+    from its own Philox stream keyed by ``derive_seed(seed, j)``, and resolve
+    each bet against its flip, found by its own ``bisect_right``; one win
+    flag per trial."""
+    heads = [
+        np.random.Generator(np.random.Philox(key=derive_seed(seed, j))).random(trials)
+        < config.coin_bias
+        for j in range(len(flip_times))
+    ]
+    won = np.ones(trials, dtype=bool)
     for b in bets:
-        epoch = bisect_right(flip_times, b.time) - 1
-        if required.setdefault(epoch, b.prediction) is not b.prediction:
-            return 0
-    epochs = list(required)
-    heads = _generator(seed).random((trials, len(flip_times)))[:, epochs] < config.coin_bias
-    need_heads = np.array([required[e] is H for e in epochs], dtype=bool)
-    return int((heads == need_heads).all(axis=1).sum())
+        won &= heads[bisect_right(flip_times, b.time) - 1] == (b.prediction is H)
+    return won
 
 
 @st.composite
@@ -387,9 +388,9 @@ class TestMonteCarloCompound:
     @pytest.mark.parametrize("bias,face", [(1.0, H), (0.0, T)])
     def test_a_certain_face_needs_no_draw(self, monkeypatch, bias, face):
         def no_draws(*args):
-            raise AssertionError("the stream was evaluated")
+            raise AssertionError("a stream was built")
 
-        monkeypatch.setattr(significance, "_random_at", no_draws)
+        monkeypatch.setattr(significance, "_generator", no_draws)
         flip_times = [float(i) for i in range(1000)]
         bets = [Bet(t + 0.5, face) for t in flip_times]
         mc = monte_carlo_compound(
@@ -413,7 +414,7 @@ class TestMonteCarloCompound:
 
     def test_chunking_does_not_change_the_count(self, monkeypatch):
         args = (GameConfig(horizon=1.0), [0.0, 0.4], [Bet(0.2, H), Bet(0.6, T)])
-        row_bytes = 16 * 8  # the stream's working memory per trial
+        row_bytes = 8  # one double per trial
         monkeypatch.setattr(significance, "_BATCH_BYTES", 30_000 * row_bytes)
         one_shot = monte_carlo_compound(*args, trials=30_000, base_seed=7)
         monkeypatch.setattr(significance, "_BATCH_BYTES", 999 * row_bytes)
@@ -456,9 +457,17 @@ class TestMonteCarloCompound:
     def test_equals_the_bulk_draw(self, game, trials, seed):
         config, flip_times, bets = game
         mc = monte_carlo_compound(config, flip_times, bets, trials=trials, base_seed=seed)
-        assert mc.successes == _bulk_successes(config, flip_times, bets, trials, seed)
+        assert mc.successes == _bulk_wins(config, flip_times, bets, trials, seed).sum()
 
-    @pytest.mark.parametrize("seed,successes", [(1, 225), (2, 254), (3, 234)])
+    @given(game=epoch_games(), trials=st.integers(1, 300), seed=seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_a_shorter_run_sees_the_first_trials_of_a_longer_one(self, game, trials, seed):
+        config, flip_times, bets = game
+        won = _bulk_wins(config, flip_times, bets, 300, seed)
+        mc = monte_carlo_compound(config, flip_times, bets, trials=trials, base_seed=seed)
+        assert mc.successes == won[:trials].sum()
+
+    @pytest.mark.parametrize("seed,successes", [(1, 256), (2, 275), (3, 252)])
     def test_benchmark_shaped_counts_are_pinned(self, seed, successes):
         config, flip_times, bets, base_seed = _montecarlo_inputs(seed)
         mc = monte_carlo_compound(config, flip_times, bets, trials=250_000, base_seed=base_seed)
