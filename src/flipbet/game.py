@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-import reprlib
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -141,23 +140,27 @@ def _is_number(x: object) -> bool:
 
 
 _SHOWN_ITEMS = 8  # a list or tuple longer than this is quoted by its first items and its length
+_SHOWN_DEPTH = 6  # a list or tuple nested deeper than this is quoted as [...], as reprlib's maxlevel
 _SHOWN_REPR = 100  # any other repr longer than this, except an int's, is quoted by its start
 
 
-@reprlib.recursive_repr("[...]")  # a list that holds itself, as repr writes it
-def _shown(value: object) -> str:
+def _shown(value: object, enclosing: tuple = ()) -> str:
     """A caller's value as a message quotes it: its ``repr``, with a str
     longer than 32 characters cut to its first 32 and its length, a list or
     tuple shown item by item through this rule and cut after
     ``_SHOWN_ITEMS`` items, and any other ``repr`` longer than
     ``_SHOWN_REPR`` cut to its first ``_SHOWN_REPR`` characters and its
-    length. An int is shown whole, or by its bit length where ``repr``
-    refuses one longer than the interpreter's digit limit (4300 digits by
-    default)."""
+    length. A list or tuple inside itself, or below ``_SHOWN_DEPTH``
+    enclosing ones, is shown as ``[...]``. An int is shown whole, or by its
+    bit length where ``repr`` refuses one longer than the interpreter's
+    digit limit (4300 digits by default)."""
     if isinstance(value, str) and len(value) > 32:
         return f"{value[:32]!r}... ({len(value)} characters)"
     if isinstance(value, (list, tuple)):
-        items = ", ".join(map(_shown, value[:_SHOWN_ITEMS]))
+        if len(enclosing) == _SHOWN_DEPTH or any(value is outer for outer in enclosing):
+            return "[...]"
+        enclosing += (value,)
+        items = ", ".join(_shown(item, enclosing) for item in value[:_SHOWN_ITEMS])
         items += f", ... ({len(value)} items)" if len(value) > _SHOWN_ITEMS else ""
         if isinstance(value, list):
             return f"[{items}]"

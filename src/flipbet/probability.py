@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 from .game import Bet, EpochGrouping, Face, GameTrace, _shown
 
@@ -35,6 +37,10 @@ __all__ = [
     "true_compound_probability",
     "effective_event_count",
 ]
+
+# Marginals multiplied per chunk of a compound product: one chunk's list at
+# a time, never one as long as the record.
+_PRODUCT_CHUNK = 4096
 
 
 def group_by_epoch(trace: GameTrace) -> EpochGrouping:
@@ -96,13 +102,22 @@ def naive_compound_probability(trace: GameTrace) -> float:
     bet for a fair coin, hence ``0.5 ** len(bets)``. An empty record gives
     the empty product, 1.
     """
-    return _product_of_marginals(trace._bet_heads.tolist(), trace.config.coin_bias)
+    return _product_of_marginals(trace._bet_heads, trace.config.coin_bias)
 
 
-def _product_of_marginals(heads: list[bool], coin_bias: float) -> float:
+def _product_of_marginals(heads: np.ndarray, coin_bias: float) -> float:
     # math.prod multiplies in sequence, left to right, as a loop of *= would:
-    # the rounding, and so every reported digit, depends on that order.
-    return math.prod(map((1.0 - coin_bias, coin_bias).__getitem__, heads), start=1.0)
+    # the rounding, and so every reported digit, depends on that order. Each
+    # chunk continues from the running product, and a product that reaches
+    # 0.0 stays there, so the loop stops early without changing the result.
+    factor = (1.0 - coin_bias, coin_bias).__getitem__
+    running = 1.0
+    for start in range(0, len(heads), _PRODUCT_CHUNK):
+        chunk = heads[start : start + _PRODUCT_CHUNK].tolist()
+        running = math.prod(map(factor, chunk), start=running)
+        if running == 0.0:
+            break
+    return running
 
 
 def true_compound_probability(trace: GameTrace) -> float:
@@ -118,7 +133,7 @@ def true_compound_probability(trace: GameTrace) -> float:
     faces = trace._epoch_faces
     if (faces < 0).any():
         return 0.0
-    return _product_of_marginals((faces == 1).tolist(), trace.config.coin_bias)
+    return _product_of_marginals(faces == 1, trace.config.coin_bias)
 
 
 def effective_event_count(trace: GameTrace) -> int:

@@ -57,13 +57,33 @@ __all__ = [
     "derive_seed",
 ]
 
-# Above this, C(n, k) no longer fits a double and the evaluation switches
-# to log-gamma.
-_EXACT_COMB_LIMIT = 1000
+# stirlerr(n) = log(n!) - log(sqrt(2*pi*n) * (n/e)**n) for n = 1..15, to
+# double precision; index 0 is a placeholder. Above 15, _stirlerr's
+# asymptotic series is as accurate (Loader 2000).
+_STIRLERR = (
+    0.0,
+    0.08106146679532726,
+    0.0413406959554093,
+    0.02767792568499834,
+    0.020790672103765093,
+    0.016644691189821193,
+    0.013876128823070748,
+    0.01189670994589177,
+    0.010411265261972096,
+    0.009255462182712733,
+    0.00833056343336287,
+    0.007573675487951841,
+    0.00694284010720953,
+    0.006408994188004207,
+    0.0059513701127588475,
+    0.005554733551962801,
+)
 
-# Smallest exponent at which p**k keeps full precision (normal floats only,
-# with a one-unit margin against the subnormal boundary).
-_LOG_MIN_NORMAL = math.log(2.2250738585072014e-308) + 1.0
+_LOG_2PI = 1.8378770664093453  # log(2*pi)
+
+# A binomial tail stops its walk once the terms it has not added are
+# bounded by this share of the running total.
+_NEGLIGIBLE = 2.0**-60
 
 # Working memory of one Monte Carlo batch: one double per trial for the
 # epoch being drawn, so a batch holds _BATCH_BYTES // 8 trials. The
@@ -119,7 +139,8 @@ class RandomizationResult:
 class MonteCarloEstimate:
     """A Monte Carlo probability estimate with its normal-approximation error.
 
-    ``standard_error`` is ``sqrt(estimate * (1 - estimate) / trials)``.
+    ``standard_error`` is ``sqrt(estimate * (1 - estimate) / trials)``, which
+    is 0 at estimates of 0 and 1; :meth:`wilson_interval` stays honest there.
     """
 
     trials: int
@@ -127,15 +148,44 @@ class MonteCarloEstimate:
     estimate: float
     standard_error: float
 
+    def wilson_interval(self, z: float = 1.96) -> tuple[float, float]:
+        """Wilson score interval ``(low, high)`` for the success probability.
+
+        The interval of probabilities within ``z`` standard errors of the
+        estimate, each error taken at the probability itself rather than at
+        the estimate (Brown, Cai & DasGupta, "Interval estimation for a
+        binomial proportion", Statist. Sci. 2001). Unlike the normal
+        approximation, it has positive width at 0 and at all successes;
+        ``z = 1.96`` gives about 95% coverage.
+
+        Raises:
+            DomainError: If ``z`` is not a real number in ``(0, 1e150]``,
+                where its square is a finite float.
+        """
+        if not (_is_number(z) and 0.0 < z <= 1e150):
+            raise DomainError(f"z must be a number in (0, 1e150], got {_shown(z)}")
+        n, z2 = self.trials, z * z
+
+        def low(s: int) -> float:
+            # The lower root of (s/n - x)**2 = z2 * x * (1 - x) / n; exactly
+            # 0 at s = 0, since sqrt(z * z) is z in floating point.
+            return (2 * s + z2 - z * math.sqrt(z2 + 4 * s * (n - s) / n)) / (2 * (n + z2))
+
+        # The upper end mirrors the lower one of the failures.
+        return low(self.successes), 1.0 - low(n - self.successes)
+
 
 def binomial_pmf(k: int, n: int, p: float) -> float:
     """P(exactly k successes in n independent trials of probability p).
 
-    C(n, k) * p**k * (1-p)**(n-k), evaluated with the exact integer
-    binomial coefficient whenever the coefficient and both power factors
-    fit normal doubles (the coefficient is multiplied in first, so the
-    product cannot underflow before it is finished), and via log-gamma
-    otherwise, so the result stays accurate for any n.
+    C(n, k) * p**k * (1-p)**(n-k) in Loader's saddle-point form (C. Loader,
+    "Fast and accurate computation of binomial probabilities", 2000): its
+    log is built from the Stirling remainders of n!, k! and (n-k)! and the
+    deviances of k from np and of n-k from n(1-p), not from differences of
+    log-factorials, so the result is accurate to about 1e-13 relative for
+    any n a float holds. The end terms are plain powers: p**n at k = n, and
+    (1-p)**n at k = 0 where 1 - p is exact (p >= 1/2), so a fair coin's
+    end terms are exact powers of 2.
 
     Raises:
         DomainError: If k is outside [0, n], n is too large for a float,
@@ -148,18 +198,53 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
         return 1.0 if k == n else 0.0
-    log_p_part = k * math.log(p)
-    log_q_part = (n - k) * math.log1p(-p)
-    if n <= _EXACT_COMB_LIMIT and log_p_part >= _LOG_MIN_NORMAL and log_q_part >= _LOG_MIN_NORMAL:
-        return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-    log_pmf = (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + log_p_part
-        + log_q_part
+    if k == n:
+        return p**n
+    q = 1.0 - p
+    if k == 0:
+        # Below 1/2, 1 - p is rounded, and its n-th power would carry that
+        # rounding n times over.
+        return q**n if p >= 0.5 else math.exp(n * math.log1p(-p))
+    # k - n*p rounded once, from p's exact binary fraction: the deviances
+    # hang on this difference, which a rounded n*p would blur by n*p*2**-53.
+    num, den = p.as_integer_ratio()
+    d = (k * den - n * num) / den
+    log_core = (
+        _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, d, n * p) - _bd0(n - k, -d, n * q)
     )
-    return math.exp(log_pmf)
+    return math.exp(log_core - 0.5 * (_LOG_2PI + math.log(k * (n - k) / n)))
+
+
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2*pi*n) * (n/e)**n), the error of Stirling's
+    formula, for n >= 1: from the table up to 15, above it from the first
+    five terms of its asymptotic series, whose sixth is below 2e-16."""
+    if n <= 15:
+        return _STIRLERR[n]
+    x = float(n)
+    v = 1.0 / (x * x)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - v / 1188) * v) * v) * v) / x
+
+
+def _bd0(x: float, d: float, m: float) -> float:
+    """x*log(x/m) + m - x, the deviance of x > 0 from a mean m > 0, given
+    their difference d = x - m to full precision.
+
+    Where x is within a factor 3 of m, the closed form would cancel to a
+    small difference of large numbers, so it is summed as the series
+    d*v + 2x*(v**3/3 + v**5/5 + ...), with v = d/(x + m) below 1/2; its
+    terms shrink at least fourfold each.
+    """
+    if abs(d) >= 0.5 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = d / (x + m)
+    total, power, v2, j = d * v, 2.0 * x * v, v * v, 3
+    while True:
+        power *= v2
+        extended = total + power / j
+        if extended == total:
+            return total
+        total, j = extended, j + 2
 
 
 def _trial_count(value: object, name: str, lo: int = 0) -> int:
@@ -172,33 +257,52 @@ def _trial_count(value: object, name: str, lo: int = 0) -> int:
 
 
 def _binomial_tail(lo: int, hi: int, n: int, p: float) -> float:
-    """Sum of the binomial pmf over lo <= k <= hi.
+    """Sum of the binomial pmf over lo <= k <= hi (callers pass lo <= hi).
 
-    Anchored at the in-range mode and extended outward by the term
-    recurrence pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/(1-p), with compensated
-    summation. Walking away from the mode only ever multiplies by ratios
-    below 1, so the recurrence cannot overflow and terms that underflow to
-    zero end the walk early. Callers pass lo <= hi. At p = 0 or 1 the
-    anchor clamps to the range end nearest the mass and the first outward
-    ratio is 0, so the walk needs no special case.
+    A range that holds the mode floor((n+1)p) is summed through its
+    complement, 1 - P(k < lo) - P(k > hi): the result is then at least
+    about 1/2, so the subtraction costs at most about 1e-16. Every sum left
+    runs outward from the mode, so each is anchored at its end nearest the
+    mode and stops once the terms still to come are negligible, after
+    O(sqrt(n)) steps however far the range reaches.
     """
-    anchor = min(max(int((n + 1) * p), lo), hi)
-    anchor_term = binomial_pmf(anchor, n, p)
-    total, carry, q = anchor_term, 0.0, 1.0 - p
-    # Down to lo, then up to hi. Down from term k the ratio is
-    # k*q / ((n-k+1)*p), up it is (n-k)*p / ((k+1)*q): both are
-    # a*u / ((n+1-a)*v), with a = k going down and a = n - k going up.
-    for a_values, u, v in ((range(anchor, lo, -1), q, p), (range(n - anchor, n - hi, -1), p, q)):
-        term = anchor_term
-        for a in a_values:
-            term *= (a * u) / ((n + 1 - a) * v)
-            if term == 0.0:
-                break
-            addend = term - carry
-            t = total + addend
-            carry = (t - total) - addend
-            total = t
-    return min(total, 1.0)
+    mode = min(int((n + 1) * p), n)
+    if lo <= mode <= hi:
+        below = _outward_sum(lo - 1, 0, n, p) if lo > 0 else 0.0
+        above = _outward_sum(hi + 1, n, n, p) if hi < n else 0.0
+        return 1.0 - below - above
+    return _outward_sum(lo, hi, n, p) if mode < lo else _outward_sum(hi, lo, n, p)
+
+
+def _outward_sum(start: int, end: int, n: int, p: float) -> float:
+    """Sum of the binomial pmf over k from ``start`` to ``end``, either way
+    round, where the mode lies beyond ``start``, away from ``end``.
+
+    From the anchor pmf(start), the term recurrence goes down by
+    pmf(k-1) = pmf(k) * k*q / ((n-k+1)*p) and up by
+    pmf(k+1) = pmf(k) * (n-k)*p / ((k+1)*q): both a*u / ((n+1-a)*v), with
+    a = k going down and a = n - k going up. Moving away from the mode the
+    ratios only fall, so the terms from one with ratio r on sum to at most
+    that term / (1 - r); the walk stops once this bound is below
+    ``_NEGLIGIBLE`` of the running total, which is compensated. At p = 0
+    or 1 the first ratio is 0, so the walk needs no special case.
+    """
+    term = total = binomial_pmf(start, n, p)
+    carry, q = 0.0, 1.0 - p
+    if end < start:
+        a_values, u, v = range(start, end, -1), q, p
+    else:
+        a_values, u, v = range(n - start, n - end, -1), p, q
+    for a in a_values:
+        ratio = (a * u) / ((n + 1 - a) * v)
+        term *= ratio
+        if term <= _NEGLIGIBLE * total * (1.0 - ratio):
+            break
+        addend = term - carry
+        t = total + addend
+        carry = (t - total) - addend
+        total = t
+    return total
 
 
 def losing_probability(n: int, p: float) -> float:

@@ -111,8 +111,8 @@ def _seeded_logs(seed: int, n_flips: int, n_bets: int, conflict: bool) -> tuple[
 # product that a reversed multiplication order would leave at 5e-324.
 SEEDED_CASES = {"bulk": (11, 1000, 10_000, True), "underflow": (12, 100, 1040, False)}
 SEEDED_OUTPUT = {
-    ("bulk", "json"): '{\n  "bet_count": 10000,\n  "flip_count": 1000,\n  "effective_events": 1000,\n  "wins": 5044,\n  "effective_wins": 507,\n  "naive_compound": 0.0,\n  "true_compound": 0.0,\n  "naive_pvalue": 0.192150683966,\n  "corrected_pvalue": 0.340511491638,\n  "randomization": null\n}\n',
-    ("bulk", "text"): "bets: 10000 (wins: 5044)\nflips: 1000\neffective events: 1000 (effective wins: 507)\nnaive compound probability: 0\ntrue compound probability: 0\nnaive p-value: 0.192150683966\ncorrected p-value: 0.340511491638\n",
+    ("bulk", "json"): '{\n  "bet_count": 10000,\n  "flip_count": 1000,\n  "effective_events": 1000,\n  "wins": 5044,\n  "effective_wins": 507,\n  "naive_compound": 0.0,\n  "true_compound": 0.0,\n  "naive_pvalue": 0.192150683967,\n  "corrected_pvalue": 0.340511491638,\n  "randomization": null\n}\n',
+    ("bulk", "text"): "bets: 10000 (wins: 5044)\nflips: 1000\neffective events: 1000 (effective wins: 507)\nnaive compound probability: 0\ntrue compound probability: 0\nnaive p-value: 0.192150683967\ncorrected p-value: 0.340511491638\n",
     ("underflow", "json"): '{\n  "bet_count": 1040,\n  "flip_count": 100,\n  "effective_events": 100,\n  "wins": 596,\n  "effective_wins": 56,\n  "naive_compound": 0.0,\n  "true_compound": 3.03590591565e-32,\n  "naive_pvalue": 1.3645436145e-06,\n  "corrected_pvalue": 0.135626512037,\n  "randomization": null\n}\n',
     ("underflow", "text"): "bets: 1040 (wins: 596)\nflips: 100\neffective events: 100 (effective wins: 56)\nnaive compound probability: 0\ntrue compound probability: 3.03590591565e-32\nnaive p-value: 1.3645436145e-06\ncorrected p-value: 0.135626512037\n",
 }

@@ -344,3 +344,30 @@ def test_any_other_long_repr_is_quoted_by_its_first_100_characters():
     assert err.value.problems == (
         f"bet[0] prediction is not a Face: {repr(prediction)[:100]}... (100009 characters)",
     )
+
+
+def _nested(depth: int, container: type = list) -> object:
+    value: object = "x"
+    for _ in range(depth):
+        value = container([value])
+    return value
+
+
+# flip outcome -> how the message quotes it: six levels are shown, deeper
+# ones as [...]
+QUOTED_DEPTHS = {
+    "lists 6 deep": (_nested(6), "[[[[[['x']]]]]]"),
+    "lists 7 deep": (_nested(7), "[[[[[[[...]]]]]]]"),
+    "lists 100,000 deep": (_nested(100_000), "[[[[[[[...]]]]]]]"),
+    "tuples 7 deep": (_nested(7, tuple), "(((((([...],),),),),),)"),
+}
+
+
+@pytest.mark.parametrize("name", QUOTED_DEPTHS)
+def test_a_nested_container_is_quoted_down_to_a_fixed_depth(name):
+    outcome, quoted = QUOTED_DEPTHS[name]
+    with pytest.raises(ValidationError) as err:
+        make_trace(CONFIG, [Flip(0.0, outcome)], [])
+    assert err.value.problems == (f"flip[0] outcome is not a Face: {quoted}",)
+    message = str(err.value)
+    assert "\n" not in message and len(message.encode()) < 300

@@ -1,20 +1,29 @@
-"""A brute-force oracle for the compound-probability calculus.
+"""Oracles for the numbers flipbet reports, sharing no code with it.
 
-The oracle resolves each bet by a linear scan of the flip times, then
-enumerates all 2**f outcomes of the f <= 10 flips with exact ``Fraction``
-probabilities. It shares no code with ``flipbet.probability`` or with the
-trace's epoch columns. At biases 1/2, 1/4 and 3/4, with at most 10
-occupied epochs and 30 bets, every product the library takes is exact in
-a double (3**30 < 2**53), so every comparison below is exact.
+A brute-force oracle for the compound-probability calculus resolves each
+bet by a linear scan of the flip times, then enumerates all 2**f outcomes
+of the f <= 10 flips with exact ``Fraction`` probabilities. It shares no
+code with ``flipbet.probability`` or with the trace's epoch columns. At
+biases 1/2, 1/4 and 3/4, with at most 10 occupied epochs and 30 bets,
+every product the library takes is exact in a double (3**30 < 2**53), so
+every comparison against it is exact.
+
+Binomial probabilities and tails are checked against sums of terms at 40
+significant digits (mpmath), each input probability taken at its exact
+binary value. Compound products of thousands of marginals are checked
+against one multiplication loop, for equality.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
+import mpmath
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,10 +33,14 @@ from flipbet import (
     Flip,
     GameConfig,
     analyze,
+    binomial_pmf,
+    losing_probability,
     make_trace,
     naive_compound_probability,
+    random_reproduction_pvalue,
     true_compound_probability,
 )
+from flipbet.probability import _PRODUCT_CHUNK as CHUNK
 
 H, T = Face.HEADS, Face.TAILS
 GRID = [i / 2 for i in range(21)]  # 0, 0.5, ..., 10: exact, so a bet can share a flip's time
@@ -101,3 +114,153 @@ def test_effective_counts_match_a_linear_scan(game):
     wins = sum(faces == {outcomes[i]} for i, faces in predicted.items())
     report = analyze(trace)
     assert (report.effective_events, report.effective_wins) == (len(predicted), wins)
+
+
+def _pmf_40(k: int, n: int, p: float) -> mpmath.mpf:
+    """C(n, k) * p**k * (1-p)**(n-k) to 40 digits."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        return mpmath.mpf(math.comb(n, k)) * p**k * (1 - p) ** (n - k)
+
+
+def _tail_40(lo: int, hi: int, n: int, p: float) -> mpmath.mpf:
+    """P(lo <= X <= hi) for X ~ Binomial(n, p), to 40 digits: the terms from
+    the range's most likely k outward, each side until a term falls below
+    1e-45 of the sum (away from the mode they only fall)."""
+    with mpmath.workdps(40):
+        p_, q_ = mpmath.mpf(p), 1 - mpmath.mpf(p)
+        top = min(max(int(mpmath.floor((n + 1) * p_)), lo), hi)
+        first = total = _pmf_40(top, n, p)
+        term = first
+        for k in range(top, lo, -1):  # term k-1 from term k
+            term = term * k * q_ / ((n - k + 1) * p_)
+            total += term
+            if term < total * mpmath.mpf("1e-45"):
+                break
+        term = first
+        for k in range(top, hi):  # term k+1 from term k
+            term = term * (n - k) * p_ / ((k + 1) * q_)
+            total += term
+            if term < total * mpmath.mpf("1e-45"):
+                break
+        return total
+
+
+def _assert_accurate(got: float, exact: mpmath.mpf) -> None:
+    """Within 1e-13 relative of a value of at least 1e-10, 1e-12 of one of
+    at least 1e-300, and 1e-312 absolute below that."""
+    error = abs(mpmath.mpf(got) - exact)
+    if exact >= mpmath.mpf("1e-10"):
+        assert error <= mpmath.mpf("1e-13") * exact, (got, exact)
+    elif exact >= mpmath.mpf("1e-300"):
+        assert error <= mpmath.mpf("1e-12") * exact, (got, exact)
+    else:
+        assert error <= mpmath.mpf("1e-312"), (got, exact)
+
+
+def _binomial_cases(seed: int) -> tuple[list, list, list]:
+    """Seeded (k, n, p) for the pmf, (n, p) for the lower tail and (k, m)
+    for the upper tail, with n up to 10**5 and p fair, 0.6, uniform, or
+    within 1e-9..0.1 of 0 or of 1. A k lies mostly within a few spreads
+    of the mean, where the values span 1 down to below 1e-300, and now
+    and then anywhere in [0, n]."""
+    rng = random.Random(seed)
+    probabilities = {
+        "half": lambda: 0.5,
+        "0.6": lambda: 0.6,
+        "uniform": rng.random,
+        "near 0": lambda: 10 ** -rng.uniform(1, 9),
+        "near 1": lambda: 1 - 10 ** -rng.uniform(1, 9),
+    }
+
+    def trials() -> int:
+        return int(10 ** rng.uniform(0, 5))
+
+    def near(mean: float, spread: float, n: int) -> int:
+        if rng.random() < 0.2:
+            return rng.randint(0, n)
+        k = round(mean + rng.gauss(0, 1) * (spread + 1) * rng.choice([1, 4, 16, 64]))
+        return min(max(k, 0), n)
+
+    pmf, losing, reproduction = [], [], []
+    for kind, draw in probabilities.items():
+        for _ in range(16):
+            n, p = trials(), draw()
+            k = near(n * p, math.sqrt(n * p * (1 - p)), n)
+            pmf.append(pytest.param(k, n, p, id=f"{kind}-{k}-{n}"))
+            n, p = trials(), draw()
+            losing.append(pytest.param(n, p, id=f"{kind}-{n}"))
+    for _ in range(24):
+        m = trials()
+        k = max(near(m / 2, math.sqrt(m) / 2, m), 1)
+        reproduction.append(pytest.param(k, m, id=f"{k}-{m}"))
+    return pmf, losing, reproduction
+
+
+PMF_CASES, LOSING_CASES, REPRODUCTION_CASES = _binomial_cases(20190516)
+
+
+@pytest.mark.parametrize("k, n, p", PMF_CASES)
+def test_binomial_pmf_matches_a_40_digit_oracle(k, n, p):
+    _assert_accurate(binomial_pmf(k, n, p), _pmf_40(k, n, p))
+    _assert_accurate(binomial_pmf(0, n, p), _pmf_40(0, n, p))
+    _assert_accurate(binomial_pmf(n, n, p), _pmf_40(n, n, p))
+
+
+@pytest.mark.parametrize("n, p", LOSING_CASES)
+def test_lower_tail_matches_a_40_digit_term_sum(n, p):
+    _assert_accurate(losing_probability(n, p), _tail_40(0, (n + 1) // 2 - 1, n, p))
+
+
+@pytest.mark.parametrize("k, m", REPRODUCTION_CASES)
+def test_upper_tail_matches_a_40_digit_term_sum(k, m):
+    _assert_accurate(random_reproduction_pvalue(k, m), _tail_40(k, m, m, 0.5))
+
+
+def _one_bet_per_flip(faces: list[Face], bias: float):
+    """A trace whose naive and true products are both over ``faces``: flip
+    i at time i, one bet on ``faces[i]`` in its epoch."""
+    flips = [Flip(float(i), H) for i in range(len(faces))]
+    bets = [Bet(i + 0.5, face) for i, face in enumerate(faces)]
+    return make_trace(GameConfig(horizon=float(len(faces)), coin_bias=bias), flips, bets)
+
+
+def _product_loop(faces: list[Face], bias: float) -> float:
+    running = 1.0
+    for face in faces:
+        running *= bias if face is H else 1.0 - bias
+    return running
+
+
+def _assert_products_equal_the_loop(faces: list[Face], bias: float) -> None:
+    trace = _one_bet_per_flip(faces, bias)
+    expected = _product_loop(faces, bias)
+    assert naive_compound_probability(trace) == expected
+    assert true_compound_probability(trace) == expected
+
+
+@pytest.mark.parametrize("bias", [0.5, 0.6, 1e-3, 1 - 1e-3])
+@pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1])
+def test_compound_products_equal_one_multiplication_loop(length, bias):
+    rng = random.Random(length)
+    # Heads about as often as the coin shows them, so a product at bias
+    # 1e-3 or 1 - 1e-3 stays above 0.
+    faces = [H if rng.random() < bias else T for _ in range(length)]
+    _assert_products_equal_the_loop(faces, bias)
+
+
+@pytest.mark.parametrize("likely", [H, T])
+@pytest.mark.parametrize("position", [CHUNK, CHUNK + 1])
+def test_a_product_that_reaches_zero_at_a_chunk_boundary(position, likely):
+    """The product first reaches 0.0 at factor ``position``: the last of one
+    chunk or the first of the next. The log goes on past it."""
+    unlikely = T if likely is H else H
+    bias = 1 - 1e-3 if likely is H else 1e-3
+    for rare in range(position):
+        faces = [likely] * (position - 1 - rare) + [unlikely] * (rare + 1)
+        if _product_loop(faces, bias) == 0.0:
+            break
+    assert _product_loop(faces[:-1], bias) > 0.0 == _product_loop(faces, bias)
+    rng = random.Random(position)
+    faces += [rng.choice((H, T)) for _ in range(CHUNK)]
+    _assert_products_equal_the_loop(faces, bias)

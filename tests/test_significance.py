@@ -84,7 +84,7 @@ class TestBinomialPmf:
             assert got == pytest.approx(float(exact), rel=1e-9)
 
     def test_large_n_log_gamma_path(self):
-        # spot value beyond the exact-comb range, against the oracle
+        # spot value at a large n, against the oracle
         exact = float(pmf_exact(600, 1200, Fraction(1, 2)))
         via_large = binomial_pmf(600, 1200, 0.5)
         assert via_large == pytest.approx(exact, rel=1e-10)
@@ -125,7 +125,7 @@ class TestLosingProbability:
 
     @pytest.mark.parametrize("n", [1, 2, 999, 1000, 1001, 10**6, 10**15])
     def test_certain_coins_give_certain_answers(self, n):
-        # Both sides of the exact-coefficient limit, where binomial_pmf switches to log-gamma.
+        # From one trial to 10**15: a certain coin's tail is one term, however large n is.
         assert losing_probability(n, 0.0) == 1.0
         assert losing_probability(n, 1.0) == 0.0
 
@@ -187,6 +187,18 @@ class TestRandomReproductionPvalue:
             k, m = m, k
         exact = upper_tail_exact(k, m, Fraction(1, 2)) if k > 0 else Fraction(1)
         assert random_reproduction_pvalue(k, m) == pytest.approx(float(exact), abs=1e-12)
+
+
+class TestHugeTrialCounts:
+    def test_pmf_at_the_centre_of_1e16_fair_trials(self):
+        # Stirling: C(n, n/2) / 2**n = sqrt(2 / (pi n)) * (1 - 1/(4n) + ...)
+        expected = math.sqrt(2 / (math.pi * 1e16))
+        assert binomial_pmf(5 * 10**15, 10**16, 0.5) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [10**17, 10**30])
+    def test_one_win_among_huge_counts_is_always_matched(self, m):
+        # 1 - 2**-m, which is 1.0 in a double
+        assert random_reproduction_pvalue(1, m) == 1.0
 
 
 class TestRandomizationTest:
@@ -541,6 +553,54 @@ class TestMonteCarloCompound:
 
 
 INDEX_RANGE = rf"in \[0, {2**64 - 1}\]"
+
+
+def _wilson_by_centre_and_half_width(successes: int, trials: int, z: float) -> tuple[float, float]:
+    """The Wilson score interval in its textbook form (Brown, Cai & DasGupta
+    2001): a centre pulled towards 1/2 and a half-width."""
+    share = successes / trials
+    shrink = 1 + z**2 / trials
+    centre = (share + z**2 / (2 * trials)) / shrink
+    half = z / shrink * math.sqrt(share * (1 - share) / trials + z**2 / (4 * trials**2))
+    return centre - half, centre + half
+
+
+class TestWilsonInterval:
+    @pytest.mark.parametrize("trials", [1, 10, 1000, 10**6])
+    def test_positive_width_at_zero_and_at_all_successes(self, trials):
+        for successes in (0, trials):
+            estimate = MonteCarloEstimate(trials, successes, successes / trials, 0.0)
+            low, high = estimate.wilson_interval()
+            assert 0.0 <= low <= estimate.estimate <= high <= 1.0
+            assert high - low > 0.0
+        assert MonteCarloEstimate(trials, 0, 0.0, 0.0).wilson_interval()[0] == 0.0
+        assert MonteCarloEstimate(trials, trials, 1.0, 0.0).wilson_interval()[1] == 1.0
+
+    @given(st.integers(min_value=1, max_value=10**9), st.data(), st.floats(0.1, 5.0))
+    def test_matches_the_textbook_formula(self, trials, data, z):
+        successes = data.draw(st.integers(min_value=0, max_value=trials))
+        estimate = MonteCarloEstimate(trials, successes, successes / trials, 0.0)
+        expected = _wilson_by_centre_and_half_width(successes, trials, z)
+        assert estimate.wilson_interval(z) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+    def test_default_is_the_95_percent_interval(self):
+        estimate = MonteCarloEstimate(100, 30, 0.3, math.sqrt(0.3 * 0.7 / 100))
+        assert estimate.wilson_interval() == estimate.wilson_interval(1.96)
+        assert estimate.wilson_interval() == pytest.approx(
+            _wilson_by_centre_and_half_width(30, 100, 1.96), rel=1e-12
+        )
+
+    def test_monte_carlo_estimate_lies_inside_its_interval(self):
+        mc = monte_carlo_compound(
+            GameConfig(horizon=1.0), [0.0, 0.5], [Bet(0.3, H), Bet(0.7, H)], trials=10**4, base_seed=3
+        )
+        low, high = mc.wilson_interval(4.0)
+        assert low < mc.estimate < high and low < 0.25 < high
+
+    @pytest.mark.parametrize("z", [0, 0.0, -1.96, True, math.inf, math.nan, 1e200, "1.96"])
+    def test_bad_z_rejected(self, z):
+        with pytest.raises(DomainError, match="z must be"):
+            MonteCarloEstimate(10, 5, 0.5, 0.16).wilson_interval(z)
 
 
 class TestDeriveSeed:
