@@ -20,7 +20,16 @@ from pathlib import Path
 
 from .errors import FlipBetError
 from .game import Bet, Face, Flip, GameConfig, GameTrace, _Columns, _columns, _simulate, make_trace
-from .report import AnalysisOptions, _read_log, _trace_json, analyze, report_to_dict, trace_to_dict
+from .report import (
+    AnalysisOptions,
+    _read_log,
+    _report_json,
+    _report_text,
+    _trace_json,
+    analyze,
+    report_to_dict,
+    trace_to_dict,
+)
 from .significance import losing_probability, random_reproduction_pvalue, randomization_test
 
 __all__ = ["main", "entrypoint"]
@@ -122,22 +131,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         config, _Columns(flip_times, flip_heads), _Columns(bet_times, bet_heads)
     )
     report = analyze(trace, options)
-    if args.format == "json":
-        print(json.dumps(report_to_dict(report), indent=2))
-    else:
-        print(f"bets: {report.bet_count} (wins: {report.wins})")
-        print(f"flips: {report.flip_count}")
-        print(f"effective events: {report.effective_events} (effective wins: {report.effective_wins})")
-        print(f"naive compound probability: {report.naive_compound:.12g}")
-        print(f"true compound probability: {report.true_compound:.12g}")
-        print(f"naive p-value: {report.naive_pvalue:.12g}")
-        print(f"corrected p-value: {report.corrected_pvalue:.12g}")
-        if report.randomization is not None:
-            for i, r in enumerate(report.randomization):
-                print(
-                    f"bet {i}: outcome changed in {r.changed} of {r.trials} "
-                    f"re-placements (fraction {r.change_fraction:.12g})"
-                )
+    print(_report_json(report) if args.format == "json" else _report_text(report))
     return 0
 
 

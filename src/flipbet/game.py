@@ -64,6 +64,22 @@ def _generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekey(generator: object, key: int) -> None:
+    """``generator``, one that :func:`_generator` built, set back to the start of
+    the stream ``_generator(key)`` gives: the state of a fresh Philox keyed by
+    ``key``, with its counter at 0 and its buffer empty. This costs about a
+    tenth of building another generator."""
+    zeros = (0, 0, 0, 0)
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": (key, 0)},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 class Face(enum.Enum):
     """One of the two coin faces; also the value of a bet's prediction."""
 
@@ -142,9 +158,10 @@ def _is_number(x: object) -> bool:
 _SHOWN_ITEMS = 8  # a list or tuple longer than this is quoted by its first items and its length
 _SHOWN_DEPTH = 6  # a list or tuple nested deeper than this is quoted as [...], as reprlib's maxlevel
 _SHOWN_REPR = 100  # any other repr longer than this, except an int's, is quoted by its start
+_SHOWN_LENGTH = 200  # items of a list or tuple are shown while the quote is shorter than this
 
 
-def _shown(value: object, enclosing: tuple = ()) -> str:
+def _shown(value: object, enclosing: tuple = (), room: int = _SHOWN_LENGTH) -> str:
     """A caller's value as a message quotes it: its ``repr``, with a str
     longer than 32 characters cut to its first 32 and its length, a list or
     tuple shown item by item through this rule and cut after
@@ -153,15 +170,26 @@ def _shown(value: object, enclosing: tuple = ()) -> str:
     length. A list or tuple inside itself, or below ``_SHOWN_DEPTH``
     enclosing ones, is shown as ``[...]``. An int is shown whole, or by its
     bit length where ``repr`` refuses one longer than the interpreter's
-    digit limit (4300 digits by default)."""
+    digit limit (4300 digits by default).
+
+    The quote as a whole is bounded too, as ``reprlib`` bounds a repr: a
+    list or tuple also stops before an item once the items shown, at any
+    level, fill ``room`` characters, so a wide nested value is quoted in a
+    few hundred characters, not millions."""
     if isinstance(value, str) and len(value) > 32:
         return f"{value[:32]!r}... ({len(value)} characters)"
     if isinstance(value, (list, tuple)):
         if len(enclosing) == _SHOWN_DEPTH or any(value is outer for outer in enclosing):
             return "[...]"
         enclosing += (value,)
-        items = ", ".join(_shown(item, enclosing) for item in value[:_SHOWN_ITEMS])
-        items += f", ... ({len(value)} items)" if len(value) > _SHOWN_ITEMS else ""
+        shown = []
+        for item in value[:_SHOWN_ITEMS]:
+            if room <= 0:
+                break
+            shown.append(_shown(item, enclosing, room))
+            room -= len(shown[-1]) + 2
+        items = ", ".join(shown)
+        items += f", ... ({len(value)} items)" if len(shown) < len(value) else ""
         if isinstance(value, list):
             return f"[{items}]"
         return f"({items},)" if len(value) == 1 else f"({items})"

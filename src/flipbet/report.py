@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,12 +46,7 @@ from .probability import (
     naive_compound_probability,
     true_compound_probability,
 )
-from .significance import (
-    RandomizationResult,
-    derive_seed,
-    random_reproduction_pvalue,
-    randomization_test,
-)
+from .significance import RandomizationResult, _randomization_tests, random_reproduction_pvalue
 
 __all__ = [
     "AnalysisOptions",
@@ -293,7 +288,8 @@ def analyze(trace: GameTrace, options: AnalysisOptions | None = None) -> Analysi
     is an independent event and once over effective events only. An
     occupied epoch counts as an effective win only if its bets are
     unanimous and correct. With ``options.randomization_trials`` set, each
-    bet also gets a randomization test over its default interval.
+    bet also gets a randomization test over its default interval, its
+    stream keyed by ``derive_seed(options.seed, i)`` for bet i.
     """
     options = options or AnalysisOptions()
     bet_count = len(trace._bet_times)
@@ -303,15 +299,7 @@ def analyze(trace: GameTrace, options: AnalysisOptions | None = None) -> Analysi
     effective_wins = int(np.count_nonzero(unanimous_and_right))
     randomization = None
     if options.randomization_trials is not None:
-        randomization = tuple(
-            randomization_test(
-                trace,
-                i,
-                trials=options.randomization_trials,
-                seed=derive_seed(options.seed, i),
-            )
-            for i in range(bet_count)
-        )
+        randomization = _randomization_tests(trace, options.randomization_trials, options.seed)
     return AnalysisReport(
         bet_count=bet_count,
         flip_count=len(trace._flip_times),
@@ -372,6 +360,59 @@ def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
         return AnalysisReport(**fields, randomization=randomization)
     except (AttributeError, DomainError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed report document: {exc}") from exc
+
+
+def _report_json(report: AnalysisReport) -> str:
+    """``json.dumps(report_to_dict(report), indent=2)``, written from a template.
+
+    Each distinct randomization result is written once, by the C encoder,
+    and the list is joined from those texts: no dict is built per bet, and
+    the pure-Python encoder that ``indent`` selects never runs.
+    """
+    names = _COUNT_FIELDS + _PROBABILITY_FIELDS
+    values = _scalars([getattr(report, name) for name in names])
+    head = "".join(f'  "{name}": {value},\n' for name, value in zip(names, values))
+    results = report.randomization
+    listed = "null" if results is None else _json_list(_per_result(_randomization_json, results))
+    return f'{{\n{head}  "randomization": {listed}\n}}'
+
+
+def _randomization_json(r: RandomizationResult) -> str:
+    trials, changed, fraction = _scalars([r.trials, r.changed, _sig12(r.change_fraction)])
+    return (
+        f'    {{\n      "trials": {trials},\n      "changed": {changed},\n'
+        f'      "change_fraction": {fraction}\n    }}'
+    )
+
+
+def _report_text(report: AnalysisReport) -> str:
+    """The report as ``flipbet analyze --format text`` prints it."""
+    lines = [
+        f"bets: {report.bet_count} (wins: {report.wins})",
+        f"flips: {report.flip_count}",
+        f"effective events: {report.effective_events} (effective wins: {report.effective_wins})",
+        f"naive compound probability: {report.naive_compound:.12g}",
+        f"true compound probability: {report.true_compound:.12g}",
+        f"naive p-value: {report.naive_pvalue:.12g}",
+        f"corrected p-value: {report.corrected_pvalue:.12g}",
+    ]
+    if report.randomization is not None:
+        texts = _per_result(_randomization_text, report.randomization)
+        lines += map("bet {}: {}".format, range(len(report.randomization)), texts)
+    return "\n".join(lines)
+
+
+def _randomization_text(r: RandomizationResult) -> str:
+    return (
+        f"outcome changed in {r.changed} of {r.trials} "
+        f"re-placements (fraction {r.change_fraction:.12g})"
+    )
+
+
+def _per_result(write: Callable[[RandomizationResult], str], results: tuple) -> Iterator[str]:
+    """``map(write, results)``, with ``write`` called once per distinct result."""
+    written = {r: write(r) for r in set(results)}
+    return map(written.__getitem__, results)
 
 
 def report_to_json(report: AnalysisReport, *, indent: int | None = 2) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .game import (
     _is_number,
     _probability,
     _record_columns,
+    _rekey,
     _seed,
     _shown,
 )
@@ -88,8 +89,11 @@ _NEGLIGIBLE = 2.0**-60
 # Working memory of one Monte Carlo batch: one double per trial for the
 # epoch being drawn, so a batch holds _BATCH_BYTES // 8 trials. The
 # estimate does not depend on it: each epoch's stream is read in order,
-# batch after batch.
+# batch after batch. A block of randomization tests holds as many bets as
+# fit _BATCH_BYTES at one double per re-placement; no count depends on it.
 _BATCH_BYTES = 8 << 20
+
+_IntOrArray = TypeVar("_IntOrArray", int, np.ndarray)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -102,10 +106,18 @@ def derive_seed(base_seed: int, index: int) -> int:
     ``[0, 2**64 - 1]``: every bit of both reaches the result.
     """
     base_seed, index = _seed(base_seed, "base_seed"), _integer(index, "index", 0, _MAX_SEED)
+    return _derived(base_seed, index)
+
+
+def _derived(base_seed: int, index: _IntOrArray) -> _IntOrArray:
+    """:func:`derive_seed` without its checks, also elementwise on a uint64 array of indices."""
     return _mix64(base_seed ^ _mix64(index))
 
 
-def _mix64(z: int) -> int:
+def _mix64(z: _IntOrArray) -> _IntOrArray:
+    """The SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014), of an int
+    in ``[0, 2**64 - 1]`` or elementwise on a uint64 array, whose arithmetic
+    wraps modulo 2**64 as the masks make the int's do."""
     z = (z + 0x9E3779B97F4A7C15) & _MAX_SEED
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MAX_SEED
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MAX_SEED
@@ -394,6 +406,47 @@ def randomization_test(
     own_face = trace._flip_heads[trace._epoch[bet_index]]
     changed = int(np.count_nonzero(trace._flip_heads[epochs] != own_face))
     return RandomizationResult(trials=trials, changed=changed)
+
+
+def _randomization_tests(trace: GameTrace, trials: int, seed: int) -> tuple[RandomizationResult, ...]:
+    """``randomization_test(trace, i, trials=trials, seed=derive_seed(seed, i))``
+    for every bet i, computed for all bets at once; ``trials`` and ``seed``
+    are valid, as :class:`~flipbet.report.AnalysisOptions` checks them.
+
+    A bet keeps its outcome wherever in its interval ``[lo, hi]`` it is
+    re-placed if one flip governs the whole range its draws can reach, so
+    its count is 0 without a draw. A draw ``lo + (hi - lo) * u`` with ``u``
+    in ``[0, 1)`` lies in ``[lo, lo + (hi - lo)]``, as rounding is monotone,
+    and ``lo + (hi - lo)`` may round above ``hi``. Each other bet draws
+    from its own stream, re-keyed on one generator, with the formula of
+    ``Generator.uniform``; one ``searchsorted`` resolves a block of them.
+    Every distinct count is one shared result: results are frozen.
+    """
+    flip_times, flip_heads = trace._flip_times, trace._flip_heads
+    hi = trace._bet_times
+    lo = np.concatenate(([0.0], hi))[:-1]
+    span = hi - lo
+    reach = _governing_flip(flip_times, np.maximum(hi, lo + span))
+    drawn = np.flatnonzero(_governing_flip(flip_times, lo) != reach)
+    keys = _derived(seed, drawn.astype(np.uint64)).tolist()
+    own_face = flip_heads[trace._epoch[drawn]]
+    counts = np.zeros(len(hi), np.int64)
+    generator = _generator(0)
+    rows = max(1, _BATCH_BYTES // (8 * trials))
+    for start in range(0, len(drawn), rows):
+        block = drawn[start : start + rows]
+        raw = np.empty((len(block), trials), np.uint64)
+        for row, key in zip(raw, keys[start : start + rows]):
+            _rekey(generator, key)
+            row[:] = generator.bit_generator.random_raw(trials)
+        # Generator.uniform's draw: lo + (hi - lo) * (53 random bits * 2**-53).
+        u = (raw >> 11) * 2.0**-53
+        epochs = _governing_flip(flip_times, lo[block, None] + span[block, None] * u)
+        shown_other = flip_heads[epochs] != own_face[start : start + rows, None]
+        counts[block] = np.count_nonzero(shown_other, axis=1)
+    changed = counts.tolist()
+    results = {c: RandomizationResult(trials, c) for c in set(changed)}
+    return tuple(map(results.__getitem__, changed))
 
 
 def monte_carlo_compound(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,9 +12,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flipbet
+from flipbet import (
+    AnalysisReport,
+    GameConfig,
+    analyze,
+    derive_seed,
+    load_bets,
+    load_flips,
+    make_trace,
+    randomization_test,
+    report_to_dict,
+)
 from flipbet.cli import main
 
 PARADOX_FLIPS = "0.0,H\n"
@@ -317,6 +330,88 @@ class TestAnalyze:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == "error: randomization_trials must be None or an integer >= 1, got 0\n"
+
+
+def _bulk_shaped_logs(tmp_path: Path, n_flips: int, n_bets: int) -> tuple[Path, Path]:
+    """Logs shaped like the benchmark's analyze_bulk: flips and bets uniform
+    on an integer clock, every bet of an epoch on one face drawn for it."""
+    rng = np.random.default_rng(20)
+    horizon = 10_000 * n_flips
+    flip_times = np.concatenate(([0], np.sort(rng.choice(horizon - 1, n_flips - 1, False)) + 1))
+    bet_times = np.sort(rng.integers(0, horizon + 1, n_bets))
+    bet_faces = rng.choice(list("HT"), n_flips)[np.searchsorted(flip_times, bet_times, "right") - 1]
+    flips, bets = tmp_path / "flips.csv", tmp_path / "bets.csv"
+    flip_rows = map("{},{}\n".format, flip_times.tolist(), rng.choice(list("HT"), n_flips))
+    flips.write_text("time,outcome\n" + "".join(flip_rows))
+    bets.write_text("".join(map("{},{}\n".format, bet_times.tolist(), bet_faces)))
+    return flips, bets
+
+
+def _per_bet_report(flips: Path, bets: Path, trials: int, seed: int) -> AnalysisReport:
+    """The report as one randomization_test call per bet gives it."""
+    flip_records, bet_records = load_flips(flips), load_bets(bets)
+    horizon = max(flip_records[-1].time, bet_records[-1].time if bet_records else 0.0) or 1.0
+    trace = make_trace(GameConfig(horizon=horizon), flip_records, bet_records)
+    results = tuple(
+        randomization_test(trace, i, trials=trials, seed=derive_seed(seed, i))
+        for i in range(len(bet_records))
+    )
+    return dataclasses.replace(analyze(trace), randomization=results)
+
+
+def _text_report(report: AnalysisReport) -> str:
+    """The text format, written line by line."""
+    lines = [
+        f"bets: {report.bet_count} (wins: {report.wins})",
+        f"flips: {report.flip_count}",
+        f"effective events: {report.effective_events} (effective wins: {report.effective_wins})",
+        f"naive compound probability: {report.naive_compound:.12g}",
+        f"true compound probability: {report.true_compound:.12g}",
+        f"naive p-value: {report.naive_pvalue:.12g}",
+        f"corrected p-value: {report.corrected_pvalue:.12g}",
+    ]
+    for i, r in enumerate(report.randomization):
+        lines.append(
+            f"bet {i}: outcome changed in {r.changed} of {r.trials} "
+            f"re-placements (fraction {r.change_fraction:.12g})"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+class TestRandomizedReportBytes:
+    """``analyze --randomize`` tests every bet at once; its bytes must equal
+    those of one randomization_test per bet, encoded by json.dumps."""
+
+    TRIALS, SEED = 20, 2**64 - 1
+
+    @pytest.fixture(scope="class")
+    def bulk(self, tmp_path_factory):
+        flips, bets = _bulk_shaped_logs(tmp_path_factory.mktemp("bulk"), 2_000, 20_000)
+        return flips, bets, _per_bet_report(flips, bets, self.TRIALS, self.SEED)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_bulk_shaped_log(self, bulk, capsys, fmt):
+        flips, bets, report = bulk
+        assert report.bet_count == 20_000
+        assert 0 < sum(r.changed > 0 for r in report.randomization) < 20_000
+        expected = json.dumps(report_to_dict(report), indent=2) + "\n"
+        if fmt == "text":
+            expected = _text_report(report)
+        argv = ["analyze", "--flips", str(flips), "--bets", str(bets),
+                "--randomize", str(self.TRIALS), "--seed", str(self.SEED), "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_empty_bet_log(self, tmp_path, capsys):
+        flips, bets = tmp_path / "flips.csv", tmp_path / "bets.csv"
+        flips.write_text("0,H\n")
+        bets.write_text("")
+        argv = ["analyze", "--flips", str(flips), "--bets", str(bets), "--randomize", "5"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        expected = report_to_dict(_per_bet_report(flips, bets, 5, 0))
+        assert out == json.dumps(expected, indent=2) + "\n"
+        assert json.loads(out)["randomization"] == []
 
 
 class TestSignificance:

@@ -371,3 +371,18 @@ def test_a_nested_container_is_quoted_down_to_a_fixed_depth(name):
     assert err.value.problems == (f"flip[0] outcome is not a Face: {quoted}",)
     message = str(err.value)
     assert "\n" not in message and len(message.encode()) < 300
+
+
+def test_a_wide_nested_container_is_quoted_in_a_bounded_length():
+    # 8 items at each of 6 levels: 8**6 strs in all, about 1.9 million
+    # characters shown whole. Items stop once the quote fills its room.
+    outcome: object = "x"
+    for _ in range(6):
+        outcome = [outcome] * 8
+    row = "['x', 'x', 'x', 'x', 'x', 'x', 'x', 'x']"
+    cut_row = "['x', 'x', 'x', 'x', 'x', 'x', 'x', ... (8 items)]"
+    quoted = "[" * 5 + ", ".join([row] * 4 + [cut_row]) + ", ... (8 items)]" * 5
+    with pytest.raises(ValidationError) as err:
+        make_trace(CONFIG, [Flip(0.0, outcome)], [])
+    assert err.value.problems == (f"flip[0] outcome is not a Face: {quoted}",)
+    assert len(str(err.value)) < 400

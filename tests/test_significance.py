@@ -18,6 +18,7 @@ from flipbet import (
     Face,
     Flip,
     GameConfig,
+    GameTrace,
     MonteCarloEstimate,
     RandomizationResult,
     ValidationError,
@@ -306,6 +307,102 @@ class TestRandomizationTest:
         assume(not any(lo < f.time <= hi for f in trace.flips))
         result = randomization_test(trace, index, interval=(lo, hi), trials=50, seed=3)
         assert result.change_fraction == 0.0
+
+
+@st.composite
+def randomized_traces(draw) -> GameTrace:
+    """Traces whose bets sit where the batched randomization tests could go
+    wrong: on flip times, at time 0, at equal times (so ``lo == hi``), and
+    just below a flip at ``np.nextafter(bet time, inf)``."""
+    horizon = draw(st.floats(0.5, 50.0))
+    extra = draw(st.lists(st.floats(0.0, horizon, exclude_min=True), unique=True, max_size=6))
+    flip_times = [0.0] + sorted(extra)
+    points = st.one_of(
+        st.floats(0.0, horizon), st.sampled_from(flip_times), st.just(0.0), st.just(horizon)
+    )
+    bet_times = draw(st.lists(points, max_size=12))
+    bet_times += draw(st.lists(st.sampled_from(bet_times), max_size=4)) if bet_times else []
+    for t in draw(st.lists(st.sampled_from(bet_times), max_size=3)) if bet_times else []:
+        flip_times.append(np.nextafter(t, math.inf).item())
+    flip_times = sorted(t for t in set(flip_times) if t <= horizon)
+    flips = [Flip(t, draw(faces)) for t in flip_times]
+    bets = [Bet(t, draw(faces)) for t in sorted(bet_times)]
+    return make_trace(GameConfig(horizon=horizon), flips, bets)
+
+
+def per_bet_tests(trace: GameTrace, trials: int, seed: int) -> tuple[RandomizationResult, ...]:
+    """The reference: one randomization_test per bet, seeded as analyze seeds it."""
+    return tuple(
+        randomization_test(trace, i, trials=trials, seed=derive_seed(seed, i))
+        for i in range(len(trace.bets))
+    )
+
+
+class TestBatchedRandomizationTests:
+    @given(
+        trace=randomized_traces(),
+        trials=st.integers(1, 60),
+        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), seeds),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(
+        trace=make_trace(
+            GameConfig(horizon=1.0),
+            [Flip(0.0, H), Flip(0.5, T), Flip(np.nextafter(0.7, math.inf).item(), H)],
+            [Bet(0.0, H), Bet(0.5, T), Bet(0.5, H), Bet(0.7, T), Bet(0.7, T), Bet(1.0, H)],
+        ),
+        trials=50,
+        seed=2**64 - 1,
+    )
+    def test_equals_one_test_per_bet(self, trace, trials, seed):
+        assert significance._randomization_tests(trace, trials, seed) == per_bet_tests(
+            trace, trials, seed
+        )
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_a_lone_bet_on_the_edge_of_a_flip(self, seed):
+        # Bet 1 draws in [0.1, 0.7] and sees the flip at 0.2; the flip just
+        # past 0.7 governs none of its draws. Bet 0's interval holds no flip.
+        edge = np.nextafter(0.7, math.inf).item()
+        trace = make_trace(
+            GameConfig(horizon=1.0),
+            [Flip(0.0, H), Flip(0.2, T), Flip(edge, H)],
+            [Bet(0.1, H), Bet(0.7, T), Bet(edge, H)],
+        )
+        got = significance._randomization_tests(trace, 1000, seed)
+        assert got == per_bet_tests(trace, 1000, seed)
+        assert got[0].changed == 0 and 0 < got[1].changed < 1000
+
+    def test_the_empty_bet_log_has_no_results(self):
+        trace = make_trace(GameConfig(horizon=1.0), [Flip(0.0, H)], [])
+        assert significance._randomization_tests(trace, 10, 3) == ()
+
+    def test_equal_counts_share_one_result(self):
+        trace = make_trace(GameConfig(horizon=1.0), [Flip(0.0, H)], [Bet(0.2, H), Bet(0.6, T)])
+        first, second = significance._randomization_tests(trace, 10, 3)
+        assert first is second and first == RandomizationResult(10, 0)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 10**6])
+    def test_block_size_does_not_change_the_counts(self, monkeypatch, rows_per_block):
+        config = GameConfig(horizon=100.0, seed=4)
+        flips = np.linspace(0.0, 100.0, 40, endpoint=False).tolist()
+        bets = [Bet(t, H) for t in np.linspace(0.5, 99.5, 25).tolist()]
+        trace = simulate_game(config, flips, bets)
+        trials = 70
+        row_bytes = 8 * trials  # one double per re-placement
+        monkeypatch.setattr(significance, "_BATCH_BYTES", rows_per_block * row_bytes)
+        assert significance._randomization_tests(trace, trials, 9) == per_bet_tests(
+            trace, trials, 9
+        )
+
+    @given(
+        base_seed=st.one_of(st.sampled_from([0, 2**64 - 1]), seeds),
+        indices=st.lists(st.one_of(st.integers(0, 100), seeds), max_size=20),
+    )
+    def test_vectorised_keys_equal_derive_seed(self, base_seed, indices):
+        keys = significance._derived(base_seed, np.array(indices, dtype=np.uint64))
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [derive_seed(base_seed, i) for i in indices]
 
 
 class TestRandomizationResult:
