@@ -23,11 +23,11 @@ from .game import Bet, Face, Flip, GameConfig, GameTrace, _Columns, _columns, _s
 from .report import (
     AnalysisOptions,
     _read_log,
-    _report_json,
     _report_text,
     _trace_json,
     analyze,
     report_to_dict,
+    report_to_json,
     trace_to_dict,
 )
 from .significance import losing_probability, random_reproduction_pvalue, randomization_test
@@ -131,7 +131,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         config, _Columns(flip_times, flip_heads), _Columns(bet_times, bet_heads)
     )
     report = analyze(trace, options)
-    print(_report_json(report) if args.format == "json" else _report_text(report))
+    if args.format == "json":
+        print(report_to_json(report))
+    else:
+        sys.stdout.writelines(_report_text(report))
     return 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -131,14 +132,18 @@ def _read_log(path: str | Path, record: type[Flip] | type[Bet]) -> tuple[np.ndar
     subset of the grammar is parsed without a per-row loop
     (:func:`_subset_columns`); any other log goes through the per-row
     reader, the one source of error messages, which names the face column
-    after the record's face field. Rows are then stably sorted by time, so
+    after the record's face field; a log that is not UTF-8 is an error on
+    the line of its first bad byte. Rows are then stably sorted by time, so
     equal times keep file order; in a flip log, equal times are an error.
     """
     path = Path(path)
     data = path.read_bytes()
     columns = _subset_columns(data)
     if columns is None:
-        columns = _read_rows(path, data, fields(record)[1].name)
+        try:
+            columns = _read_rows(path, data, fields(record)[1].name)
+        except UnicodeDecodeError:
+            raise _undecodable(path, data) from None
     t, is_heads, lines = columns  # lines[i]: the line of row i
     order = None
     if (t[1:] < t[:-1]).any():
@@ -151,6 +156,19 @@ def _read_log(path: str | Path, record: type[Flip] | type[Bet]) -> tuple[np.ndar
         line = lines[i if order is None else int(order[i])]
         raise CsvFormatError(problem, path=str(path), line=line)
     return t, is_heads
+
+
+def _undecodable(path: Path, data: bytes) -> CsvFormatError:
+    """The error for a log that is not UTF-8, on the line of its first byte
+    that is not. It decodes the whole log, so only an error path calls it."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines end at CR, LF or CRLF, as the CSV reader ends them.
+        line = len((data[: exc.start] + b".").splitlines())
+        problem = f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        return CsvFormatError(problem, path=str(path), line=line)
+    raise AssertionError("the log decodes")
 
 
 def _subset_columns(data: bytes) -> tuple[np.ndarray, np.ndarray, range] | None:
@@ -270,7 +288,8 @@ def load_flips(path: str | Path) -> list[Flip]:
     Raises:
         FileNotFoundError: No such file.
         CsvFormatError: Malformed row, out-of-range time, unknown face
-            token, or duplicate flip time (all with the offending line).
+            token, duplicate flip time, or a byte that is not UTF-8 (all
+            with the offending line).
     """
     return list(_records(Flip, *_read_log(path, Flip)))
 
@@ -362,12 +381,12 @@ def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
         raise ValidationError(f"malformed report document: {exc}") from exc
 
 
-def _report_json(report: AnalysisReport) -> str:
-    """``json.dumps(report_to_dict(report), indent=2)``, written from a template.
+def report_to_json(report: AnalysisReport) -> str:
+    """``json.dumps(report_to_dict(report), indent=2)``, as ``flipbet analyze`` prints it.
 
-    Each distinct randomization result is written once, by the C encoder,
-    and the list is joined from those texts: no dict is built per bet, and
-    the pure-Python encoder that ``indent`` selects never runs.
+    Written from a template: each distinct randomization result is written
+    once, by the C encoder, and the list is joined from those texts. No dict
+    is built per bet, and the pure-Python encoder of ``indent`` never runs.
     """
     names = _COUNT_FIELDS + _PROBABILITY_FIELDS
     values = _scalars([getattr(report, name) for name in names])
@@ -385,21 +404,22 @@ def _randomization_json(r: RandomizationResult) -> str:
     )
 
 
-def _report_text(report: AnalysisReport) -> str:
-    """The report as ``flipbet analyze --format text`` prints it."""
-    lines = [
-        f"bets: {report.bet_count} (wins: {report.wins})",
-        f"flips: {report.flip_count}",
-        f"effective events: {report.effective_events} (effective wins: {report.effective_wins})",
-        f"naive compound probability: {report.naive_compound:.12g}",
-        f"true compound probability: {report.true_compound:.12g}",
-        f"naive p-value: {report.naive_pvalue:.12g}",
-        f"corrected p-value: {report.corrected_pvalue:.12g}",
-    ]
+def _report_text(report: AnalysisReport) -> Iterator[str]:
+    """The text of ``flipbet analyze --format text`` in pieces of whole lines:
+    the bet lines come 4096 to a piece, so the whole text is never built
+    and a writer makes few calls."""
+    yield f"bets: {report.bet_count} (wins: {report.wins})\n"
+    yield f"flips: {report.flip_count}\n"
+    yield f"effective events: {report.effective_events} (effective wins: {report.effective_wins})\n"
+    yield f"naive compound probability: {report.naive_compound:.12g}\n"
+    yield f"true compound probability: {report.true_compound:.12g}\n"
+    yield f"naive p-value: {report.naive_pvalue:.12g}\n"
+    yield f"corrected p-value: {report.corrected_pvalue:.12g}\n"
     if report.randomization is not None:
         texts = _per_result(_randomization_text, report.randomization)
-        lines += map("bet {}: {}".format, range(len(report.randomization)), texts)
-    return "\n".join(lines)
+        lines = map("bet {}: {}\n".format, range(len(report.randomization)), texts)
+        while piece := "".join(itertools.islice(lines, 4096)):
+            yield piece
 
 
 def _randomization_text(r: RandomizationResult) -> str:
@@ -413,10 +433,6 @@ def _per_result(write: Callable[[RandomizationResult], str], results: tuple) -> 
     """``map(write, results)``, with ``write`` called once per distinct result."""
     written = {r: write(r) for r in set(results)}
     return map(written.__getitem__, results)
-
-
-def report_to_json(report: AnalysisReport, *, indent: int | None = 2) -> str:
-    return json.dumps(report_to_dict(report), indent=indent)
 
 
 def report_from_json(text: str) -> AnalysisReport:

@@ -9,10 +9,10 @@ Three complementary instruments:
   raw bets;
 * the bet-time randomization test: re-place one bet uniformly at random in
   an interval and measure how often its outcome changes. If no flip falls
-  in the interval, the outcome never changes, which shows the bet carried
-  no forecasting information of its own. Each re-placement resolves
-  flip-first, like every bet, and the draws of one test come from the
-  Philox stream keyed by its seed, an integer in ``[0, 2**64 - 1]``.
+  in the interval, one flip governs it: the outcome never changes, which
+  shows the bet carried no forecasting information of its own, and no
+  draw is needed. Otherwise the draws come from the Philox stream keyed
+  by the test's seed, in ``[0, 2**64 - 1]``, each resolved flip-first.
 
 A vectorized Monte Carlo driver doubles as the independent oracle for the
 analytic compound probabilities.
@@ -364,13 +364,13 @@ def randomization_test(
 
     Each trial draws a new time in ``interval``, re-resolves the chosen
     bet (same prediction) against the fixed flip record, and compares its
-    win/loss outcome with the original. All ``trials`` times are one
-    ``uniform(lo, hi, trials)`` draw from the Philox stream keyed by
-    ``seed``, and each resolves flip-first: a time equal to a flip's time
-    falls in that flip's epoch. A change fraction of zero means the bet's
-    outcome is invariant under where it sits in the interval; in
-    particular it is exactly zero whenever no flip time falls strictly
-    inside the interval up to the original bet time.
+    win/loss outcome with the original. The times are the draws of
+    ``uniform(lo, hi, trials)`` on the Philox stream keyed by ``seed``,
+    each resolved flip-first: a time equal to a flip's time falls in that
+    flip's epoch. The change fraction is zero, the outcome invariant under
+    where the bet sits, whenever no flip time falls strictly inside the
+    interval up to the original bet time. An interval that one flip
+    governs needs no draw: the fraction is 0 or 1.
 
     Args:
         trace: The game record; flips and other bets stay fixed.
@@ -399,38 +399,46 @@ def randomization_test(
         raise DomainError(
             f"interval ({_shown(lo)}, {_shown(hi)}) must satisfy 0 <= lo <= hi <= horizon"
         )
-    draws = _generator(seed).uniform(lo, hi, trials)
-    epochs = _governing_flip(trace._flip_times, draws)
-    # Same prediction, so the outcome changes exactly where the coin shows
-    # another face than in the bet's own epoch.
-    own_face = trace._flip_heads[trace._epoch[bet_index]]
-    changed = int(np.count_nonzero(trace._flip_heads[epochs] != own_face))
-    return RandomizationResult(trials=trials, changed=changed)
+    bet, key = np.array([bet_index]), np.array([seed], np.uint64)
+    lo, hi = np.array([[lo], [hi]], float)
+    return RandomizationResult(trials, _replacement_changes(trace, bet, lo, hi, key, trials).item())
 
 
 def _randomization_tests(trace: GameTrace, trials: int, seed: int) -> tuple[RandomizationResult, ...]:
     """``randomization_test(trace, i, trials=trials, seed=derive_seed(seed, i))``
     for every bet i, computed for all bets at once; ``trials`` and ``seed``
     are valid, as :class:`~flipbet.report.AnalysisOptions` checks them.
-
-    A bet keeps its outcome wherever in its interval ``[lo, hi]`` it is
-    re-placed if one flip governs the whole range its draws can reach, so
-    its count is 0 without a draw. A draw ``lo + (hi - lo) * u`` with ``u``
-    in ``[0, 1)`` lies in ``[lo, lo + (hi - lo)]``, as rounding is monotone,
-    and ``lo + (hi - lo)`` may round above ``hi``. Each other bet draws
-    from its own stream, re-keyed on one generator, with the formula of
-    ``Generator.uniform``; one ``searchsorted`` resolves a block of them.
     Every distinct count is one shared result: results are frozen.
     """
-    flip_times, flip_heads = trace._flip_times, trace._flip_heads
     hi = trace._bet_times
+    bets = np.arange(len(hi))
     lo = np.concatenate(([0.0], hi))[:-1]
+    keys = _derived(seed, bets.astype(np.uint64))
+    changed = _replacement_changes(trace, bets, lo, hi, keys, trials).tolist()
+    results = {c: RandomizationResult(trials, c) for c in set(changed)}
+    return tuple(map(results.__getitem__, changed))
+
+
+def _replacement_changes(
+    trace: GameTrace, bets: np.ndarray, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray, trials: int
+) -> np.ndarray:
+    """How many of ``trials`` re-placements change the outcome of bet
+    ``bets[i]``, drawn in ``[lo[i], hi[i]]`` from the stream keyed by ``keys[i]``.
+
+    A draw is ``Generator.uniform``'s, ``lo + (hi - lo) * u`` with ``u`` the
+    top 53 bits of a raw word times 2**-53. It lies in ``[lo, lo + (hi - lo)]``,
+    as rounding is monotone, and may pass ``hi``. Where one flip governs that
+    range, the count needs no draw: 0 if it shows the bet's own face, else
+    ``trials``. Other bets draw from their own streams, re-keyed on one
+    generator; one ``searchsorted`` resolves a block of them.
+    """
+    flip_times, flip_heads = trace._flip_times, trace._flip_heads
     span = hi - lo
-    reach = _governing_flip(flip_times, np.maximum(hi, lo + span))
-    drawn = np.flatnonzero(_governing_flip(flip_times, lo) != reach)
-    keys = _derived(seed, drawn.astype(np.uint64)).tolist()
-    own_face = flip_heads[trace._epoch[drawn]]
-    counts = np.zeros(len(hi), np.int64)
+    first = _governing_flip(flip_times, lo)
+    own_face = flip_heads[trace._epoch[bets]]
+    counts = np.where(flip_heads[first] == own_face, 0, trials)
+    drawn = np.flatnonzero(first != _governing_flip(flip_times, np.maximum(hi, lo + span)))
+    keys = keys[drawn].tolist()
     generator = _generator(0)
     rows = max(1, _BATCH_BYTES // (8 * trials))
     for start in range(0, len(drawn), rows):
@@ -439,14 +447,10 @@ def _randomization_tests(trace: GameTrace, trials: int, seed: int) -> tuple[Rand
         for row, key in zip(raw, keys[start : start + rows]):
             _rekey(generator, key)
             row[:] = generator.bit_generator.random_raw(trials)
-        # Generator.uniform's draw: lo + (hi - lo) * (53 random bits * 2**-53).
         u = (raw >> 11) * 2.0**-53
         epochs = _governing_flip(flip_times, lo[block, None] + span[block, None] * u)
-        shown_other = flip_heads[epochs] != own_face[start : start + rows, None]
-        counts[block] = np.count_nonzero(shown_other, axis=1)
-    changed = counts.tolist()
-    results = {c: RandomizationResult(trials, c) for c in set(changed)}
-    return tuple(map(results.__getitem__, changed))
+        counts[block] = np.count_nonzero(flip_heads[epochs] != own_face[block, None], axis=1)
+    return counts
 
 
 def monte_carlo_compound(

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from flipbet import Bet, Face, Flip, GameConfig, GameTrace, make_trace
+from flipbet import (
+    Bet,
+    Face,
+    Flip,
+    GameConfig,
+    GameTrace,
+    RandomizationResult,
+    derive_seed,
+    make_trace,
+)
 
 faces = st.sampled_from([Face.HEADS, Face.TAILS])
 
@@ -70,3 +82,23 @@ def new_launch_trace() -> GameTrace:
         [Flip(0.0, Face.HEADS), Flip(0.5, Face.TAILS)],
         [Bet(0.3, Face.HEADS), Bet(0.7, Face.TAILS)],
     )
+
+
+def reference_randomization(trace: GameTrace, trials: int, seed: int) -> tuple:
+    """Every bet's randomization test as ``analyze`` runs it, rebuilt from
+    numpy and public names only: bet i is re-placed at the ``trials`` times of
+    ``Generator(Philox(derive_seed(seed, i))).uniform(lo, hi, trials)``, from
+    the previous bet's time (0 for the first) to its own, and each time is
+    resolved against the flips on its own (flip-first: a flip at t governs t).
+    """
+    flip_times = [f.time for f in trace.flips]
+    results, lo = [], 0.0
+    for i, (bet, won) in enumerate(zip(trace.bets, trace.resolutions)):
+        stream = np.random.Generator(np.random.Philox(key=derive_seed(seed, i)))
+        changed = 0
+        for t in stream.uniform(lo, bet.time, trials).tolist():
+            face = trace.flips[bisect_right(flip_times, t) - 1].outcome
+            changed += (bet.prediction is face) != won
+        results.append(RandomizationResult(trials=trials, changed=changed))
+        lo = bet.time
+    return tuple(results)

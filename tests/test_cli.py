@@ -20,14 +20,13 @@ from flipbet import (
     AnalysisReport,
     GameConfig,
     analyze,
-    derive_seed,
     load_bets,
     load_flips,
     make_trace,
-    randomization_test,
     report_to_dict,
 )
 from flipbet.cli import main
+from conftest import reference_randomization
 
 PARADOX_FLIPS = "0.0,H\n"
 PARADOX_BETS = "0.3,H\n0.7,H\n"
@@ -348,14 +347,11 @@ def _bulk_shaped_logs(tmp_path: Path, n_flips: int, n_bets: int) -> tuple[Path, 
 
 
 def _per_bet_report(flips: Path, bets: Path, trials: int, seed: int) -> AnalysisReport:
-    """The report as one randomization_test call per bet gives it."""
+    """The report with each bet's randomization test recomputed by the reference."""
     flip_records, bet_records = load_flips(flips), load_bets(bets)
     horizon = max(flip_records[-1].time, bet_records[-1].time if bet_records else 0.0) or 1.0
     trace = make_trace(GameConfig(horizon=horizon), flip_records, bet_records)
-    results = tuple(
-        randomization_test(trace, i, trials=trials, seed=derive_seed(seed, i))
-        for i in range(len(bet_records))
-    )
+    results = reference_randomization(trace, trials, seed)
     return dataclasses.replace(analyze(trace), randomization=results)
 
 
@@ -380,7 +376,7 @@ def _text_report(report: AnalysisReport) -> str:
 
 class TestRandomizedReportBytes:
     """``analyze --randomize`` tests every bet at once; its bytes must equal
-    those of one randomization_test per bet, encoded by json.dumps."""
+    those of the reference's tests, encoded by json.dumps."""
 
     TRIALS, SEED = 20, 2**64 - 1
 

@@ -79,13 +79,24 @@ def _reference_flips(path: Path) -> list[Flip]:
 
 
 def _outcome(read, path: Path):
-    """A reader's result, or its error's message and line (or decoding error)."""
+    """A reader's result, or its error's message and line.
+
+    Where the reference stops at a byte that is not UTF-8, the reader
+    reports the log's first such byte on its line, as found here line by
+    line: a line end is ASCII, so no UTF-8 sequence spans two lines.
+    """
     try:
         return read(path)
     except CsvFormatError as err:
         return ("error", str(err), err.line)
-    except UnicodeDecodeError as err:
-        return ("undecodable", str(err))
+    except UnicodeDecodeError:
+        for line, text in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
+            try:
+                text.decode("utf-8")
+            except UnicodeDecodeError as err:
+                problem = f"not UTF-8: byte 0x{text[err.start]:02x} ({err.reason})"
+                return ("error", f"{path}:{line}: {problem}", line)
+        raise
 
 
 pads = st.sampled_from(["", " ", "  ", "\t"])
@@ -325,6 +336,43 @@ def test_each_form_outside_the_subset_goes_to_the_per_row_reader(tmp_path, text)
     data = text.encode("utf-8") if isinstance(text, str) else text
     assert report._subset_columns(data) is None
     _check_against_reference(tmp_path, data)
+
+
+# Each log outside the subset, and each bad row in a small log, as either
+# log of ``flipbet analyze``: the CLI accepts it or names the problem.
+CLI_LOGS = {
+    **OUTSIDE_SUBSET,
+    **{f"bad-row-{i}": "0,H\n" + ",".join(row) + "\n1,T\n" for i, row in enumerate(BAD_ROWS)},
+}
+
+
+@pytest.mark.parametrize("role", ["--flips", "--bets"])
+@pytest.mark.parametrize("text", CLI_LOGS.values(), ids=CLI_LOGS)
+def test_the_cli_reads_any_log_without_a_traceback(tmp_path, capsys, text, role):
+    log, other = tmp_path / "log.csv", tmp_path / "other.csv"
+    log.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    other.write_text("0,H\n2,T\n")
+    paths = {"--flips": other, "--bets": other, role: log}
+    argv = ["analyze", "--flips", str(paths["--flips"]), "--bets", str(paths["--bets"])]
+    assert main(argv) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data,line,problem",
+    [
+        (b"1,H\n\xff\xfe,H\n", 2, "byte 0xff (invalid start byte)"),
+        (b"0,H\r\n1,T\r2,\xe2\x82", 3, "byte 0xe2 (unexpected end of data)"),
+        (b"0,H\n" * 5000 + b"1,\xc3(\n", 5001, "byte 0xc3 (invalid continuation byte)"),
+    ],
+    ids=["second-line", "cr-line-ends", "past-the-first-chunk"],
+)
+def test_a_log_that_is_not_utf8_is_a_usage_error_on_its_line(tmp_path, capsys, data, line, problem):
+    flips, bets = tmp_path / "flips.csv", tmp_path / "bets.csv"
+    flips.write_text("0,H\n")
+    bets.write_bytes(data)
+    assert main(["analyze", "--flips", str(flips), "--bets", str(bets)]) == 2
+    assert capsys.readouterr().err == f"error: {bets}:{line}: not UTF-8: {problem}\n"
 
 
 # The csv module stops at a field over its limit (128 KiB by default), so the

@@ -32,7 +32,7 @@ from flipbet import (
     simulate_game,
     true_compound_probability,
 )
-from conftest import faces, seeds
+from conftest import faces, reference_randomization, seeds
 
 H, T = Face.HEADS, Face.TAILS
 
@@ -295,6 +295,27 @@ class TestRandomizationTest:
         result = randomization_test(trace, index, interval=(lo, hi), trials=trials, seed=seed)
         assert result == RandomizationResult(trials=trials, changed=changed)
 
+    @pytest.mark.parametrize(
+        "interval,changed", [((0.55, 0.75), 40), ((0.85, 0.95), 0)], ids=["other-face", "same-face"]
+    )
+    def test_an_interval_one_flip_governs_is_counted_without_a_draw(
+        self, monkeypatch, interval, changed
+    ):
+        # The bet sits in the heads epoch at 0; each interval lies wholly in
+        # a later epoch, which shows tails over (0.5, 0.8) and heads after.
+        trace = make_trace(
+            GameConfig(horizon=1.0),
+            [Flip(0.0, H), Flip(0.5, T), Flip(0.8, H)],
+            [Bet(0.2, H)],
+        )
+
+        def no_stream(*args):
+            raise AssertionError("a stream was read")
+
+        monkeypatch.setattr(significance, "_rekey", no_stream)
+        result = randomization_test(trace, 0, interval=interval, trials=40, seed=7)
+        assert result == RandomizationResult(trials=40, changed=changed)
+
     @given(st.data())
     @settings(max_examples=200)
     def test_no_flip_inside_interval_means_no_change(self, data):
@@ -330,14 +351,6 @@ def randomized_traces(draw) -> GameTrace:
     return make_trace(GameConfig(horizon=horizon), flips, bets)
 
 
-def per_bet_tests(trace: GameTrace, trials: int, seed: int) -> tuple[RandomizationResult, ...]:
-    """The reference: one randomization_test per bet, seeded as analyze seeds it."""
-    return tuple(
-        randomization_test(trace, i, trials=trials, seed=derive_seed(seed, i))
-        for i in range(len(trace.bets))
-    )
-
-
 class TestBatchedRandomizationTests:
     @given(
         trace=randomized_traces(),
@@ -355,7 +368,7 @@ class TestBatchedRandomizationTests:
         seed=2**64 - 1,
     )
     def test_equals_one_test_per_bet(self, trace, trials, seed):
-        assert significance._randomization_tests(trace, trials, seed) == per_bet_tests(
+        assert significance._randomization_tests(trace, trials, seed) == reference_randomization(
             trace, trials, seed
         )
 
@@ -370,7 +383,7 @@ class TestBatchedRandomizationTests:
             [Bet(0.1, H), Bet(0.7, T), Bet(edge, H)],
         )
         got = significance._randomization_tests(trace, 1000, seed)
-        assert got == per_bet_tests(trace, 1000, seed)
+        assert got == reference_randomization(trace, 1000, seed)
         assert got[0].changed == 0 and 0 < got[1].changed < 1000
 
     def test_the_empty_bet_log_has_no_results(self):
@@ -391,7 +404,7 @@ class TestBatchedRandomizationTests:
         trials = 70
         row_bytes = 8 * trials  # one double per re-placement
         monkeypatch.setattr(significance, "_BATCH_BYTES", rows_per_block * row_bytes)
-        assert significance._randomization_tests(trace, trials, 9) == per_bet_tests(
+        assert significance._randomization_tests(trace, trials, 9) == reference_randomization(
             trace, trials, 9
         )
 
