@@ -112,7 +112,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace = _simulate(config, _columns(args.flip_times), bets)
     text = _trace_json(trace)
     if args.out is not None:
-        args.out.write_text(text + "\n", encoding="utf-8")
+        with args.out.open("w", encoding="utf-8") as out:
+            out.write(text)
+            out.write("\n")
     else:
         print(text)
     return 0

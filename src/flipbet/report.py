@@ -47,7 +47,12 @@ from .probability import (
     naive_compound_probability,
     true_compound_probability,
 )
-from .significance import RandomizationResult, _randomization_tests, random_reproduction_pvalue
+from .significance import (
+    _MAX_TRIALS,
+    RandomizationResult,
+    _randomization_tests,
+    random_reproduction_pvalue,
+)
 
 __all__ = [
     "AnalysisOptions",
@@ -79,7 +84,7 @@ class AnalysisOptions:
 
     Raises:
         ValidationError: If ``randomization_trials`` is neither None nor an
-            integer >= 1, or ``seed`` is not an integer in
+            integer in ``[1, 2**63 - 1]``, or ``seed`` is not an integer in
             ``[0, 2**64 - 1]`` (a bool is neither).
     """
 
@@ -96,6 +101,9 @@ class AnalysisOptions:
                 problems.append(
                     f"randomization_trials must be None or an integer >= 1, got {_shown(trials)}"
                 )
+            else:
+                if trials > _MAX_TRIALS:
+                    problems.append(f"randomization_trials must be at most 2**63 - 1, got {trials}")
         object.__setattr__(self, "seed", _checked(problems, _seed, self.seed))
         if problems:
             raise ValidationError(problems)
@@ -469,17 +477,19 @@ _TRACE_JSON = """\
 def _trace_json(trace: GameTrace) -> str:
     """``json.dumps(trace_to_dict(trace), indent=2)``, written from the columns.
 
-    The C encoder writes each column's scalars and a fixed template joins
-    them, so no record or dict is built per row. Times are written from
-    the float columns, so a trace built from records with int times writes
-    them as floats, where :func:`trace_to_dict` keeps them as given.
+    A list of flips or bets is one ``"".join`` over a flat list of parts,
+    and a resolution is one of two written texts, so no record or dict is
+    built per row and no row's text is concatenated on its own. Times are
+    written from the float columns, so a trace built from records with int
+    times writes them as floats, where :func:`trace_to_dict` keeps them as
+    given.
     """
     config = trace.config
     return _TRACE_JSON.format(
         *map(json.dumps, (config.horizon, config.coin_bias, config.seed)),
         _json_rows("outcome", trace._flip_times.tolist(), trace._flip_heads),
         _json_rows("prediction", trace._bet_times.tolist(), trace._bet_heads),
-        _json_list(map("    ".__add__, _scalars(trace._won.tolist()))),
+        _json_list(map(("    false", "    true").__getitem__, trace._won.tolist())),
     )
 
 
@@ -488,12 +498,26 @@ def _scalars(values: list) -> list[str]:
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
-def _json_rows(face_name: str, times: list, heads: np.ndarray) -> str:
-    """A trace document's list of ``{"time": ..., face_name: ...}`` objects."""
+def _json_rows(face_name: str, times: list[float], heads: np.ndarray) -> str:
+    """A trace document's list of ``{"time": ..., face_name: ...}`` objects.
+
+    The parts alternate time and separator: ``between[f]`` closes a row of
+    face ``f`` and opens the next. A time is its ``float.__repr__``, which
+    is how the JSON encoder writes a finite float, and a trace's times are
+    finite.
+    """
+    if not times:
+        return "[]"
     opening = '    {\n      "time": '
     closings = [f',\n      "{face_name}": "{face.token}"\n    }}' for face in _FACES]
-    rows = map(str.__add__, _scalars(times), map(closings.__getitem__, heads.tolist()))
-    return _json_list(map(opening.__add__, rows))
+    between = [closing + ",\n" + opening for closing in closings]
+    faces = heads.tolist()
+    parts = [""] * (2 * len(times) + 1)
+    parts[0] = "[\n" + opening
+    parts[1::2] = map(float.__repr__, times)
+    parts[2:-1:2] = map(between.__getitem__, faces[:-1])
+    parts[-1] = closings[faces[-1]] + "\n  ]"
+    return "".join(parts)
 
 
 def _json_list(items: Iterable[str]) -> str:

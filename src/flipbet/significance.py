@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -90,8 +90,14 @@ _NEGLIGIBLE = 2.0**-60
 # epoch being drawn, so a batch holds _BATCH_BYTES // 8 trials. The
 # estimate does not depend on it: each epoch's stream is read in order,
 # batch after batch. A block of randomization tests holds as many bets as
-# fit _BATCH_BYTES at one double per re-placement; no count depends on it.
+# fit _BATCH_BYTES at one double per re-placement, and a bet with more
+# re-placements than fit is drawn in chunks of that size; no count depends
+# on it.
 _BATCH_BYTES = 8 << 20
+
+# The largest trial count of a randomization test: the largest count an
+# int64 holds, so every count fits the columns that hold them.
+_MAX_TRIALS = 2**63 - 1
 
 _IntOrArray = TypeVar("_IntOrArray", int, np.ndarray)
 
@@ -378,14 +384,14 @@ def randomization_test(
         interval: ``(lo, hi)`` inside the game window. Defaults to the
             span from the preceding bet's time (or 0 for the first bet) to
             the chosen bet's time.
-        trials: Number of random re-placements.
+        trials: Number of random re-placements, at most ``2**63 - 1``.
         seed: Key of the re-placement stream, in ``[0, 2**64 - 1]``.
 
     Raises:
         DomainError: On a bad index, interval, trial count or seed.
     """
     bet_index = _integer(bet_index, "bet_index", 0, len(trace._bet_times) - 1)
-    trials = _integer(trials, "trials", 1)
+    trials = _integer(trials, "trials", 1, _MAX_TRIALS)
     seed = _seed(seed)
     if interval is None:
         lo = trace._bet_times[bet_index - 1].item() if bet_index > 0 else 0.0
@@ -440,17 +446,38 @@ def _replacement_changes(
     drawn = np.flatnonzero(first != _governing_flip(flip_times, np.maximum(hi, lo + span)))
     keys = keys[drawn].tolist()
     generator = _generator(0)
-    rows = max(1, _BATCH_BYTES // (8 * trials))
+    width = max(1, _BATCH_BYTES // 8)
+    rows = max(1, width // trials)
     for start in range(0, len(drawn), rows):
         block = drawn[start : start + rows]
-        raw = np.empty((len(block), trials), np.uint64)
-        for row, key in zip(raw, keys[start : start + rows]):
+        changed = 0
+        for raw in _raw_words(generator, keys[start : start + rows], trials, width):
+            u = (raw >> 11) * 2.0**-53
+            epochs = _governing_flip(flip_times, lo[block, None] + span[block, None] * u)
+            changed += np.count_nonzero(flip_heads[epochs] != own_face[block, None], axis=1)
+        counts[block] = changed
+    return counts
+
+
+def _raw_words(
+    generator: object, keys: list[int], trials: int, width: int
+) -> Iterator[np.ndarray]:
+    """The first ``trials`` raw words of the stream of each key, re-keyed on
+    ``generator``: one ``(len(keys), trials)`` array when a row fits ``width``
+    words, else the one key's row in chunks of at most ``width`` words, each
+    continuing the stream where the last stopped.
+    """
+    if trials <= width:
+        raw = np.empty((len(keys), trials), np.uint64)
+        for row, key in zip(raw, keys):
             _rekey(generator, key)
             row[:] = generator.bit_generator.random_raw(trials)
-        u = (raw >> 11) * 2.0**-53
-        epochs = _governing_flip(flip_times, lo[block, None] + span[block, None] * u)
-        counts[block] = np.count_nonzero(flip_heads[epochs] != own_face[block, None], axis=1)
-    return counts
+        yield raw
+        return
+    (key,) = keys
+    _rekey(generator, key)
+    for column in range(0, trials, width):
+        yield generator.bit_generator.random_raw(min(width, trials - column))[None]
 
 
 def monte_carlo_compound(

@@ -187,6 +187,19 @@ class TestSimulate:
             "e70ccefdb7af2fba6d862f1134be097b56fd7bb0970c1645091170801a7100f5"
         )
 
+    def test_stdout_equals_the_out_file(self, tmp_path, capsys):
+        _, bet_text = _seeded_logs(14, 30, 500, False)
+        bets, out = tmp_path / "bets.csv", tmp_path / "trace.json"
+        bets.write_text(bet_text)
+        flip_times = ",".join(str(10 * k) for k in range(30))
+        argv = ["simulate", "--horizon", "300", "--flip-times", flip_times, "--seed", "14",
+                "--bets", str(bets)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+
     def test_missing_horizon_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--flip-times", "0"])
@@ -329,6 +342,27 @@ class TestAnalyze:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == "error: randomization_trials must be None or an integer >= 1, got 0\n"
+
+    def test_trials_past_int64_is_usage_error(self, paradox_files, capsys):
+        flips, bets = paradox_files
+        argv = ["analyze", "--flips", str(flips), "--bets", str(bets),
+                "--randomize", str(2**63)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: randomization_trials must be at most 2**63 - 1, got {2**63}\n"
+
+    def test_largest_trial_count_needs_no_draw_where_no_flip_intervenes(self, tmp_path, capsys):
+        # One flip governs every re-placement, so no count needs a draw,
+        # however many trials are asked for.
+        flips, bets = tmp_path / "flips.csv", tmp_path / "bets.csv"
+        flips.write_text("0,H\n")
+        bets.write_text("0.2,H\n0.6,T\n")
+        argv = ["analyze", "--flips", str(flips), "--bets", str(bets), "--horizon", "1",
+                "--randomize", str(2**63 - 1), "--format", "text"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for bet in (0, 1):
+            assert f"bet {bet}: outcome changed in 0 of {2**63 - 1} re-placements" in out
 
 
 def _bulk_shaped_logs(tmp_path: Path, n_flips: int, n_bets: int) -> tuple[Path, Path]:

@@ -367,3 +367,30 @@ class TestTraceJson:
         text = _trace_json(trace)
         assert text == _indented_dump(trace)
         assert '"bets": [],\n  "resolutions": []\n}' in text
+
+    def test_times_written_with_an_exponent(self):
+        # float.__repr__ switches to an exponent below 1e-4 and from 1e16 on,
+        # as the JSON encoder does; 5e-324 is the smallest subnormal.
+        config = GameConfig(horizon=1e16)
+        trace = make_trace(
+            config, [Flip(0.0, H), Flip(5e-324, T), Flip(1e-07, H)],
+            [Bet(5e-324, T), Bet(1e-07, T), Bet(1e16, H)],
+        )
+        text = _trace_json(trace)
+        assert text == _indented_dump(trace)
+        assert '"time": 5e-324,' in text and '"time": 1e-07,' in text and '"time": 1e+16,' in text
+
+    @pytest.mark.parametrize("face", [H, T])
+    def test_a_single_row_takes_its_own_closing(self, face):
+        trace = make_trace(GameConfig(horizon=1.0), [Flip(0.0, face)], [Bet(0.5, face)])
+        text = _trace_json(trace)
+        assert text == _indented_dump(trace)
+        assert f'"prediction": "{face.token}"\n    }}\n  ],' in text
+
+    def test_column_built_trace_of_ten_thousand_bets(self):
+        rng = np.random.default_rng(14)
+        flips = [0.0, *np.sort(rng.uniform(0.0, 1000.0, 300)).tolist()]
+        bet_times = np.sort(rng.uniform(0.0, 1000.0, 10_000)).tolist()
+        bets = [Bet(t, H if heads else T) for t, heads in zip(bet_times, rng.random(10_000) < 0.5)]
+        trace = simulate_game(GameConfig(horizon=1000.0, coin_bias=0.6, seed=14), flips, bets)
+        assert _trace_json(trace) == _indented_dump(trace)

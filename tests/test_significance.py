@@ -228,6 +228,21 @@ class TestRandomizationTest:
         tolerance = 4.0 * math.sqrt(expected * (1.0 - expected) / trials)
         assert abs(result.change_fraction - expected) <= tolerance
 
+    @pytest.mark.parametrize("trials", [2**63, 2**64])
+    def test_trials_past_int64_is_domain_error(self, paradox_trace, monkeypatch, trials):
+        def no_draws(*args):
+            raise AssertionError("drew re-placements for an invalid trial count")
+
+        monkeypatch.setattr(significance, "_replacement_changes", no_draws)
+        bounds = r"trials must be an integer in \[1, 9223372036854775807\]"
+        with pytest.raises(DomainError, match=bounds):
+            randomization_test(paradox_trace, 1, trials=trials)
+
+    def test_the_largest_trial_count_is_accepted(self, paradox_trace):
+        # No flip falls inside (0.3, 0.7), so no re-placement is drawn.
+        result = randomization_test(paradox_trace, 1, interval=(0.3, 0.7), trials=2**63 - 1)
+        assert result == RandomizationResult(trials=2**63 - 1, changed=0)
+
     def test_zero_length_interval_never_changes(self, paradox_trace):
         bet_time = paradox_trace.bets[1].time
         result = randomization_test(
@@ -406,6 +421,19 @@ class TestBatchedRandomizationTests:
         monkeypatch.setattr(significance, "_BATCH_BYTES", rows_per_block * row_bytes)
         assert significance._randomization_tests(trace, trials, 9) == reference_randomization(
             trace, trials, 9
+        )
+
+    @pytest.mark.parametrize("words", [1, 3, 7])
+    def test_a_wide_row_is_drawn_in_chunks(self, monkeypatch, words):
+        # A row wider than the batch is drawn `words` raw words at a time,
+        # each chunk continuing the bet's stream where the last stopped.
+        config = GameConfig(horizon=100.0, seed=4)
+        flips = np.linspace(0.0, 100.0, 40, endpoint=False).tolist()
+        bets = [Bet(t, H) for t in np.linspace(0.5, 99.5, 25).tolist()]
+        trace = simulate_game(config, flips, bets)
+        monkeypatch.setattr(significance, "_BATCH_BYTES", 8 * words)
+        assert significance._randomization_tests(trace, 100, 9) == reference_randomization(
+            trace, 100, 9
         )
 
     @given(
