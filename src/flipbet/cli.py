@@ -6,7 +6,9 @@ Commands:
     significance  binomial-tail numbers (losing probability, p-values)
     demo          scripted walkthrough of the one-flip, two-bet game
 
-Exit codes: 0 success, 2 usage or validation errors, 1 internal errors.
+Exit codes: 0 success, 2 usage or validation errors, 1 internal errors or
+a reader that closed stdout early (``flipbet analyze ... | head``), which
+prints nothing on stderr.
 All randomized commands take an explicit ``--seed`` and default to 0;
 nothing reads wall-clock entropy, so every run is reproducible.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -219,7 +222,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader is gone: stdout goes to devnull, so the interpreter's
+        # last flush of it cannot fail again (Python's documented SIGPIPE pattern).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except FlipBetError as exc:
         problems = getattr(exc, "problems", None) or [str(exc)]
         for problem in problems:

@@ -257,7 +257,9 @@ class _Columns(NamedTuple):
     """
 
     times: np.ndarray  # float64; NaN where the given time is not a number
-    faces: np.ndarray | None  # 1 heads, 0 tails, -1 not a Face; None before the draw
+    # Of records: 1 heads, 0 tails, -1 not a Face. _read_log and _simulate
+    # pass a bool heads column instead. None before the draw.
+    faces: np.ndarray | None
     given_times: Sequence | None = None
     given_faces: Sequence | None = None
     records: tuple | None = None

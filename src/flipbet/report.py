@@ -438,9 +438,12 @@ def _randomization_text(r: RandomizationResult) -> str:
 
 
 def _per_result(write: Callable[[RandomizationResult], str], results: tuple) -> Iterator[str]:
-    """``map(write, results)``, with ``write`` called once per distinct result."""
-    written = {r: write(r) for r in set(results)}
-    return map(written.__getitem__, results)
+    """``map(write, results)``, with ``write`` called once per result object:
+    results are frozen, and :func:`~flipbet.significance._randomization_tests`
+    shares one per distinct count, so keying by ``id`` skips the dataclass hash."""
+    shared = {id(r): r for r in results}
+    written = {key: write(r) for key, r in shared.items()}
+    return map(written.__getitem__, map(id, results))
 
 
 def report_from_json(text: str) -> AnalysisReport:

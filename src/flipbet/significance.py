@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -91,8 +91,8 @@ _NEGLIGIBLE = 2.0**-60
 # estimate does not depend on it: each epoch's stream is read in order,
 # batch after batch. A block of randomization tests holds as many bets as
 # fit _BATCH_BYTES at one double per re-placement, and a bet with more
-# re-placements than fit is drawn in chunks of that size; no count depends
-# on it.
+# re-placements than fit sits alone in its block and is drawn in chunks of
+# that size, each continuing its stream; no count depends on it.
 _BATCH_BYTES = 8 << 20
 
 # The largest trial count of a randomization test: the largest count an
@@ -431,12 +431,13 @@ def _replacement_changes(
     """How many of ``trials`` re-placements change the outcome of bet
     ``bets[i]``, drawn in ``[lo[i], hi[i]]`` from the stream keyed by ``keys[i]``.
 
-    A draw is ``Generator.uniform``'s, ``lo + (hi - lo) * u`` with ``u`` the
-    top 53 bits of a raw word times 2**-53. It lies in ``[lo, lo + (hi - lo)]``,
-    as rounding is monotone, and may pass ``hi``. Where one flip governs that
-    range, the count needs no draw: 0 if it shows the bet's own face, else
-    ``trials``. Other bets draw from their own streams, re-keyed on one
-    generator; one ``searchsorted`` resolves a block of them.
+    A draw is ``Generator.uniform``'s, ``lo + (hi - lo) * Generator.random()``.
+    It lies in ``[lo, lo + (hi - lo)]``, as rounding is monotone, and may pass
+    ``hi``. Where one flip governs that range, the count needs no draw: 0 if
+    it shows the bet's own face, else ``trials``. Other bets draw from their
+    own streams, re-keyed on one generator; one ``searchsorted`` resolves a
+    block of them. A bet whose row is wider than the block sits alone in it,
+    and its stream is read in column chunks, each continuing the last.
     """
     flip_times, flip_heads = trace._flip_times, trace._flip_heads
     span = hi - lo
@@ -447,37 +448,21 @@ def _replacement_changes(
     keys = keys[drawn].tolist()
     generator = _generator(0)
     width = max(1, _BATCH_BYTES // 8)
-    rows = max(1, width // trials)
+    cols = min(trials, width)
+    rows = width // cols
     for start in range(0, len(drawn), rows):
         block = drawn[start : start + rows]
         changed = 0
-        for raw in _raw_words(generator, keys[start : start + rows], trials, width):
-            u = (raw >> 11) * 2.0**-53
-            epochs = _governing_flip(flip_times, lo[block, None] + span[block, None] * u)
+        for column in range(0, trials, cols):
+            draws = np.empty((len(block), min(cols, trials - column)))
+            for row, key in zip(draws, keys[start : start + rows]):
+                if not column:
+                    _rekey(generator, key)
+                generator.random(out=row)
+            epochs = _governing_flip(flip_times, lo[block, None] + span[block, None] * draws)
             changed += np.count_nonzero(flip_heads[epochs] != own_face[block, None], axis=1)
         counts[block] = changed
     return counts
-
-
-def _raw_words(
-    generator: object, keys: list[int], trials: int, width: int
-) -> Iterator[np.ndarray]:
-    """The first ``trials`` raw words of the stream of each key, re-keyed on
-    ``generator``: one ``(len(keys), trials)`` array when a row fits ``width``
-    words, else the one key's row in chunks of at most ``width`` words, each
-    continuing the stream where the last stopped.
-    """
-    if trials <= width:
-        raw = np.empty((len(keys), trials), np.uint64)
-        for row, key in zip(raw, keys):
-            _rekey(generator, key)
-            row[:] = generator.bit_generator.random_raw(trials)
-        yield raw
-        return
-    (key,) = keys
-    _rekey(generator, key)
-    for column in range(0, trials, width):
-        yield generator.bit_generator.random_raw(min(width, trials - column))[None]
 
 
 def monte_carlo_compound(

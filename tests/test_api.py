@@ -148,3 +148,15 @@ def test_the_one_random_source_is_game_generator():
     # Every seeded draw comes from game._generator: no module imports
     # `random`, and only that function names numpy's random module.
     assert sorted(set(_random_uses())) == [("game", "_generator", "np.random")]
+
+
+def test_streams_are_read_only_through_generator_random():
+    # Every double the package draws is Generator.random's: no source reads
+    # a bit generator's raw words and converts them by hand.
+    raw_reads = [
+        (path.stem, node.lineno)
+        for path in sorted(Path(flipbet.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), path.name))
+        if isinstance(node, ast.Attribute) and node.attr == "random_raw"
+    ]
+    assert raw_reads == []

@@ -515,3 +515,30 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.0573437605422"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(tmp_path, fmt):
+    # 2 x 10^4 bet lines are far more than a pipe buffer holds, so the child
+    # is still writing when the reader closes the pipe after one line.
+    flips, bets = tmp_path / "flips.csv", tmp_path / "bets.csv"
+    flips.write_text("0,H\n")
+    bets.write_text("".join(f"{t},H\n" for t in range(1, 20_001)))
+    package_root = str(Path(flipbet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    argv = ["analyze", "--flips", str(flips), "--bets", str(bets), "--randomize", "1",
+            "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flipbet", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert stderr == b""

@@ -31,7 +31,7 @@ from flipbet import (
 )
 from conftest import game_inputs, traces
 from flipbet.game import simulate_game
-from flipbet.report import _trace_json
+from flipbet.report import _report_text, _trace_json
 
 H, T = Face.HEADS, Face.TAILS
 
@@ -244,6 +244,20 @@ class TestRoundTrips:
     def test_report_json_round_trip(self, paradox_trace):
         report = analyze(paradox_trace, AnalysisOptions(randomization_trials=100, seed=2))
         assert report_from_json(report_to_json(report)) == report
+
+    def test_read_back_results_are_unshared_and_write_the_same_bytes(self):
+        # analyze shares one frozen result per distinct count; a report read
+        # back holds one object per bet, and both write the same bytes.
+        flips = [Flip(0.0, H), Flip(1.0, T), Flip(2.0, H), Flip(3.0, T)]
+        bets = [Bet(t, H) for t in (0.5, 0.6, 1.5, 1.6, 2.5, 3.5, 3.6)]
+        trace = make_trace(GameConfig(horizon=4.0), flips, bets)
+        report = analyze(trace, AnalysisOptions(randomization_trials=50, seed=8))
+        back = report_from_json(report_to_json(report))
+        assert back == report
+        assert len(set(map(id, report.randomization))) == len(set(report.randomization)) == 4
+        assert len(set(map(id, back.randomization))) == 7
+        assert report_to_json(back) == report_to_json(report)
+        assert "".join(_report_text(back)) == "".join(_report_text(report))
 
     def test_trace_dict_round_trip(self, paradox_trace):
         assert trace_from_dict(trace_to_dict(paradox_trace)) == paradox_trace
