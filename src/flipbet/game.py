@@ -86,6 +86,11 @@ class Face(enum.Enum):
     HEADS = "H"
     TAILS = "T"
 
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        # enum's own message quotes the whole repr, however long
+        raise ValueError(f"{_shown(value)} is not a valid Face")
+
     def opposite(self) -> "Face":
         """The other face. An involution: ``f.opposite().opposite() is f``."""
         return Face.TAILS if self is Face.HEADS else Face.HEADS

@@ -22,8 +22,6 @@ the trace's read-only view of them.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
@@ -37,11 +35,6 @@ __all__ = [
     "true_compound_probability",
     "effective_event_count",
 ]
-
-# Marginals multiplied per chunk of a compound product: one chunk's list at
-# a time, never one as long as the record.
-_PRODUCT_CHUNK = 4096
-
 
 def group_by_epoch(trace: GameTrace) -> EpochGrouping:
     """The trace's epoch table: its bets grouped by the flip governing each.
@@ -102,22 +95,15 @@ def naive_compound_probability(trace: GameTrace) -> float:
     bet for a fair coin, hence ``0.5 ** len(bets)``. An empty record gives
     the empty product, 1.
     """
-    return _product_of_marginals(trace._bet_heads, trace.config.coin_bias)
+    return _compound_from_counts(trace._bet_heads, trace.config.coin_bias)
 
 
-def _product_of_marginals(heads: np.ndarray, coin_bias: float) -> float:
-    # math.prod multiplies in sequence, left to right, as a loop of *= would:
-    # the rounding, and so every reported digit, depends on that order. Each
-    # chunk continues from the running product, and a product that reaches
-    # 0.0 stays there, so the loop stops early without changing the result.
-    factor = (1.0 - coin_bias, coin_bias).__getitem__
-    running = 1.0
-    for start in range(0, len(heads), _PRODUCT_CHUNK):
-        chunk = heads[start : start + _PRODUCT_CHUNK].tolist()
-        running = math.prod(map(factor, chunk), start=running)
-        if running == 0.0:
-            break
-    return running
+def _compound_from_counts(heads: np.ndarray, coin_bias: float) -> float:
+    # Each factor is coin_bias or its complement, so the product is one power
+    # of each: a rounding in each (C library) pow and one in the product, down
+    # into the subnormals and to 0.0 where the exact value rounds there.
+    count = int(np.count_nonzero(heads))
+    return coin_bias**count * (1.0 - coin_bias) ** (len(heads) - count)
 
 
 def true_compound_probability(trace: GameTrace) -> float:
@@ -133,7 +119,7 @@ def true_compound_probability(trace: GameTrace) -> float:
     faces = trace._epoch_faces
     if (faces < 0).any():
         return 0.0
-    return _product_of_marginals(faces == 1, trace.config.coin_bias)
+    return _compound_from_counts(faces == 1, trace.config.coin_bias)
 
 
 def effective_event_count(trace: GameTrace) -> int:

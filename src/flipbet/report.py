@@ -447,7 +447,12 @@ def _per_result(write: Callable[[RandomizationResult], str], results: tuple) -> 
 
 
 def report_from_json(text: str) -> AnalysisReport:
-    return report_from_dict(json.loads(text))
+    """Inverse of :func:`report_to_json`; text that does not parse is a ValidationError."""
+    try:
+        data = json.loads(text)
+    except (RecursionError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed report document: {exc}") from exc
+    return report_from_dict(data)
 
 
 def trace_to_dict(trace: GameTrace) -> dict[str, Any]:

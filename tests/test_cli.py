@@ -5,13 +5,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -120,7 +120,8 @@ def _seeded_logs(seed: int, n_flips: int, n_bets: int, conflict: bool) -> tuple[
 
 # Pinned from the per-record implementation. Case "bulk": 10^4 bets with one
 # conflicting epoch, so true_compound is 0. Case "underflow": a naive
-# product that a reversed multiplication order would leave at 5e-324.
+# product whose exact value lies below half the smallest subnormal, so it
+# rounds to 0.0.
 SEEDED_CASES = {"bulk": (11, 1000, 10_000, True), "underflow": (12, 100, 1040, False)}
 SEEDED_OUTPUT = {
     ("bulk", "json"): '{\n  "bet_count": 10000,\n  "flip_count": 1000,\n  "effective_events": 1000,\n  "wins": 5044,\n  "effective_wins": 507,\n  "naive_compound": 0.0,\n  "true_compound": 0.0,\n  "naive_pvalue": 0.192150683967,\n  "corrected_pvalue": 0.340511491638,\n  "randomization": null\n}\n',
@@ -322,11 +323,26 @@ class TestAnalyze:
         assert main(argv) == 0
         assert capsys.readouterr().out == SEEDED_OUTPUT[case, fmt]
 
-    def test_underflow_case_depends_on_the_product_order(self):
+    def test_underflow_case_rounds_to_zero(self):
         _, bet_text = _seeded_logs(*SEEDED_CASES["underflow"])
-        marginals = [0.6 if row.endswith("H") else 1.0 - 0.6 for row in bet_text.split()]
-        assert math.prod(marginals, start=1.0) == 0.0
-        assert math.prod(reversed(marginals), start=1.0) == 5e-324
+        heads = sum(row.endswith("H") for row in bet_text.split())
+        assert (heads, 1040 - heads) == (500, 540)
+        with mpmath.workprec(300):
+            exact = mpmath.mpf(0.6) ** 500 * mpmath.mpf(1.0 - 0.6) ** 540
+            assert mpmath.nstr(exact, 5) == "1.5418e-326"
+            assert exact < mpmath.ldexp(1, -1075)
+
+    def test_a_winning_run_below_the_subnormals_prints_zero(self, tmp_path, capsys):
+        """3000 epochs, each with one winning heads bet, at bias 0.7: both
+        products are 0.7**3000, about 2**-1543.7, which rounds to 0.0."""
+        flips, bets = tmp_path / "flips.csv", tmp_path / "bets.csv"
+        flips.write_text("".join(f"{i},H\n" for i in range(3000)))
+        bets.write_text("".join(f"{i}.5,H\n" for i in range(3000)))
+        argv = ["analyze", "--flips", str(flips), "--bets", str(bets), "--bias", "0.7"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["effective_events"], doc["effective_wins"]) == (3000, 3000)
+        assert (doc["naive_compound"], doc["true_compound"]) == (0.0, 0.0)
 
     @pytest.mark.parametrize("seed", ["-5", str(2**64)])
     def test_seed_outside_64_bits_is_usage_error(self, paradox_files, capsys, seed):

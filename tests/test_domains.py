@@ -296,7 +296,13 @@ def _randomization_trials(value: object) -> dict:
     return doc
 
 
-# Each call quotes a container that holds a 100,000-character str.
+def _trace_doc_with_face(records: str, field: str) -> dict:
+    doc = trace_to_dict(TRACE)
+    doc[records][0][field] = "H" * 100_000
+    return doc
+
+
+# Each call quotes a container that holds a 100,000-character str, or the str itself.
 LONG_CONTAINERS = {
     "randomization_test.interval tuple": (
         lambda: randomization_test(TRACE, 0, interval=("x" * 100_000,))
@@ -310,6 +316,10 @@ LONG_CONTAINERS = {
     ),
     "report_from_dict.randomization.trials tuple": (
         lambda: report_from_dict(_randomization_trials(("z" * 100_000,)))
+    ),
+    "trace_from_dict.outcome str": lambda: trace_from_dict(_trace_doc_with_face("flips", "outcome")),
+    "trace_from_dict.prediction str": (
+        lambda: trace_from_dict(_trace_doc_with_face("bets", "prediction"))
     ),
 }
 

@@ -10,8 +10,9 @@ every comparison against it is exact.
 
 Binomial probabilities and tails are checked against sums of terms at 40
 significant digits (mpmath), each input probability taken at its exact
-binary value. Compound products of thousands of marginals are checked
-against one multiplication loop, for equality.
+binary value. Compound products of thousands of marginals, and products
+aimed at the subnormals, are checked against ``b**h * (1 - b)**t`` at 300
+bits (mpmath), with ``1 - b`` taken as the double the library uses.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from flipbet import (
     random_reproduction_pvalue,
     true_compound_probability,
 )
-from flipbet.probability import _PRODUCT_CHUNK as CHUNK
 
 H, T = Face.HEADS, Face.TAILS
 GRID = [i / 2 for i in range(21)]  # 0, 0.5, ..., 10: exact, so a bet can share a flip's time
@@ -225,42 +225,55 @@ def _one_bet_per_flip(faces: list[Face], bias: float):
     return make_trace(GameConfig(horizon=float(len(faces)), coin_bias=bias), flips, bets)
 
 
-def _product_loop(faces: list[Face], bias: float) -> float:
-    running = 1.0
-    for face in faces:
-        running *= bias if face is H else 1.0 - bias
-    return running
+def _exact_compound(faces: list[Face], bias: float) -> mpmath.mpf:
+    """The product of the marginals of ``faces`` at 300 bits."""
+    heads = faces.count(H)
+    with mpmath.workprec(300):
+        return mpmath.mpf(bias) ** heads * mpmath.mpf(1.0 - bias) ** (len(faces) - heads)
 
 
-def _assert_products_equal_the_loop(faces: list[Face], bias: float) -> None:
+def _assert_products_match_the_oracle(faces: list[Face], bias: float) -> None:
+    """Within 1e-14 relative of an exact value of at least 2**-1022, and
+    1.5 subnormal ulps absolute below it: one rounding in each pow and one
+    in the product."""
     trace = _one_bet_per_flip(faces, bias)
-    expected = _product_loop(faces, bias)
-    assert naive_compound_probability(trace) == expected
-    assert true_compound_probability(trace) == expected
+    exact = _exact_compound(faces, bias)
+    for got in (naive_compound_probability(trace), true_compound_probability(trace)):
+        with mpmath.workprec(300):
+            error = abs(mpmath.mpf(got) - exact)
+            if exact >= mpmath.ldexp(1, -1022):
+                assert error <= mpmath.mpf("1e-14") * exact, (got, exact)
+            else:
+                assert error <= mpmath.ldexp(1.5, -1074), (got, exact)
 
 
 @pytest.mark.parametrize("bias", [0.5, 0.6, 1e-3, 1 - 1e-3])
-@pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1])
-def test_compound_products_equal_one_multiplication_loop(length, bias):
+@pytest.mark.parametrize("length", [4095, 4096, 4097, 12289])
+def test_compound_products_match_a_300_bit_oracle(length, bias):
     rng = random.Random(length)
     # Heads about as often as the coin shows them, so a product at bias
     # 1e-3 or 1 - 1e-3 stays above 0.
     faces = [H if rng.random() < bias else T for _ in range(length)]
-    _assert_products_equal_the_loop(faces, bias)
+    _assert_products_match_the_oracle(faces, bias)
 
 
-@pytest.mark.parametrize("likely", [H, T])
-@pytest.mark.parametrize("position", [CHUNK, CHUNK + 1])
-def test_a_product_that_reaches_zero_at_a_chunk_boundary(position, likely):
-    """The product first reaches 0.0 at factor ``position``: the last of one
-    chunk or the first of the next. The log goes on past it."""
-    unlikely = T if likely is H else H
-    bias = 1 - 1e-3 if likely is H else 1e-3
-    for rare in range(position):
-        faces = [likely] * (position - 1 - rare) + [unlikely] * (rare + 1)
-        if _product_loop(faces, bias) == 0.0:
-            break
-    assert _product_loop(faces[:-1], bias) > 0.0 == _product_loop(faces, bias)
-    rng = random.Random(position)
-    faces += [rng.choice((H, T)) for _ in range(CHUNK)]
-    _assert_products_equal_the_loop(faces, bias)
+def _subnormal_cases(seed: int, count: int) -> list:
+    """Seeded (heads, tails, bias) whose exact product lies between 2**-1080
+    and 2**-1010: across the smallest normals, the subnormals and the
+    rounding to 0.0, with at most 20000 factors."""
+    rng = random.Random(seed)
+    biases = [0.5, 0.6, 0.7, 1e-3, 1 - 1e-3]
+    cases = []
+    while len(cases) < count:
+        bias = biases[len(cases) % len(biases)] if len(cases) < 10 else rng.uniform(0.01, 0.99)
+        target = rng.uniform(-1080, -1010)  # log2 of the product
+        heads = round(rng.random() * target / math.log2(bias))
+        tails = round((target - heads * math.log2(bias)) / math.log2(1.0 - bias))
+        if tails >= 0 and heads + tails <= 20000:
+            cases.append(pytest.param(heads, tails, bias, id=f"{heads}H-{tails}T-{bias:.3g}"))
+    return cases
+
+
+@pytest.mark.parametrize("heads, tails, bias", _subnormal_cases(20190516, 40))
+def test_products_near_the_subnormals_match_a_300_bit_oracle(heads, tails, bias):
+    _assert_products_match_the_oracle([H] * heads + [T] * tails, bias)

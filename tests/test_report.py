@@ -291,6 +291,21 @@ class TestRoundTrips:
         config = json.dumps(trace_to_dict(trace)["config"])
         assert config == '{"horizon": 1.0, "coin_bias": 0.5, "seed": 3}'
 
+    @pytest.mark.parametrize(
+        "text", ["{", "", "[" * 100_000, 5], ids=["unclosed", "empty", "deep", "not text"]
+    )
+    def test_a_document_that_does_not_parse_is_rejected(self, text):
+        with pytest.raises(ValidationError, match="^malformed report document: "):
+            report_from_json(text)
+
+    @pytest.mark.parametrize("field", ["outcome", "prediction"])
+    def test_a_bad_face_token_is_quoted(self, paradox_trace, field):
+        doc = trace_to_dict(paradox_trace)
+        doc["flips" if field == "outcome" else "bets"][0][field] = "X"
+        with pytest.raises(ValidationError) as err:
+            trace_from_dict(doc)
+        assert str(err.value) == "malformed trace document: 'X' is not a valid Face"
+
     @pytest.mark.parametrize("doc", [{}, {"randomization": 5}])
     def test_malformed_report_document_rejected(self, doc):
         with pytest.raises(ValidationError, match="malformed report document"):
