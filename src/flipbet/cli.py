@@ -25,6 +25,7 @@ from .errors import FlipBetError
 from .game import Bet, Face, Flip, GameConfig, GameTrace, _Columns, _columns, _simulate, make_trace
 from .report import (
     AnalysisOptions,
+    _randomization_dict,
     _read_log,
     _report_text,
     _trace_json,
@@ -182,11 +183,7 @@ def cmd_paradox_demo(args: argparse.Namespace) -> int:
                 {
                     "game": trace_to_dict(trace),
                     "report": report_to_dict(report),
-                    "second_bet_randomization": {
-                        "trials": rand.trials,
-                        "changed": rand.changed,
-                        "change_fraction": rand.change_fraction,
-                    },
+                    "second_bet_randomization": _randomization_dict(rand),
                 },
                 indent=2,
             )

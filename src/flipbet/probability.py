@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .game import Bet, EpochGrouping, Face, GameTrace, _shown
+from .game import Bet, EpochGrouping, Face, GameTrace, _probability, _shown
 
 __all__ = [
     "EpochGrouping",
@@ -66,9 +66,11 @@ def pairwise_conditional_probability(
         coin_bias: Per-flip heads probability (0.5 for the fair coin).
 
     Raises:
-        DomainError: If either bet is not in the grouping, or ``bet_i``
-            comes after ``bet_j``.
+        DomainError: If ``coin_bias`` is not a real number in [0, 1],
+            either bet is not in the grouping, or ``bet_i`` comes after
+            ``bet_j``.
     """
+    coin_bias = _probability(coin_bias, "coin_bias")
     if bet_i.time > bet_j.time:
         raise DomainError(
             f"bet_i must not come after bet_j: {_shown(bet_i.time)} > {_shown(bet_j.time)}"

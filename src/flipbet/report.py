@@ -140,43 +140,27 @@ def _read_log(path: str | Path, record: type[Flip] | type[Bet]) -> tuple[np.ndar
     subset of the grammar is parsed without a per-row loop
     (:func:`_subset_columns`); any other log goes through the per-row
     reader, the one source of error messages, which names the face column
-    after the record's face field; a log that is not UTF-8 is an error on
-    the line of its first bad byte. Rows are then stably sorted by time, so
+    after the record's face field. Rows are then stably sorted by time, so
     equal times keep file order; in a flip log, equal times are an error.
     """
     path = Path(path)
     data = path.read_bytes()
     columns = _subset_columns(data)
     if columns is None:
-        try:
-            columns = _read_rows(path, data, fields(record)[1].name)
-        except UnicodeDecodeError:
-            raise _undecodable(path, data) from None
+        columns = _read_rows(path, data, fields(record)[1].name)
     t, is_heads, lines = columns  # lines[i]: the line of row i
     order = None
     if (t[1:] < t[:-1]).any():
         order = np.argsort(t, kind="stable")
         t, is_heads = t[order], is_heads[order]
-    equal = t[1:] == t[:-1]
-    if record is Flip and equal.any():
-        i = int(equal.argmax()) + 1
-        problem = f"duplicate flip time {t[i].item()!r}"
-        line = lines[i if order is None else int(order[i])]
-        raise CsvFormatError(problem, path=str(path), line=line)
+    if record is Flip:
+        equal = t[1:] == t[:-1]
+        if equal.any():
+            i = int(equal.argmax()) + 1
+            problem = f"duplicate flip time {t[i].item()!r}"
+            line = lines[i if order is None else int(order[i])]
+            raise CsvFormatError(problem, path=str(path), line=line)
     return t, is_heads
-
-
-def _undecodable(path: Path, data: bytes) -> CsvFormatError:
-    """The error for a log that is not UTF-8, on the line of its first byte
-    that is not. It decodes the whole log, so only an error path calls it."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # Lines end at CR, LF or CRLF, as the CSV reader ends them.
-        line = len((data[: exc.start] + b".").splitlines())
-        problem = f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
-        return CsvFormatError(problem, path=str(path), line=line)
-    raise AssertionError("the log decodes")
 
 
 def _subset_columns(data: bytes) -> tuple[np.ndarray, np.ndarray, range] | None:
@@ -241,9 +225,19 @@ def _is_header(line: bytes) -> bool:
 def _read_rows(path: Path, data: bytes, value_name: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The per-row reader: every form of the grammar, and every error.
 
-    Rows are checked as they are read, so the error raised is the first
-    offending row's, with its line.
+    A log that is not UTF-8 is an error on the line of its first bad byte,
+    raised before any row is read. Rows are then checked as they are read,
+    so the error raised is the first offending row's, with its line. They
+    are decoded again, 8 KiB at a time: reading the whole text through a
+    ``StringIO`` would hold 4 bytes per character.
     """
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines end at CR, LF or CRLF, as the CSV reader ends them.
+        line = len((data[: exc.start] + b".").splitlines())
+        problem = f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        raise CsvFormatError(problem, path=str(path), line=line) from None
     times: list[float] = []
     heads: list[bool] = []
     lines: list[int] = []
@@ -349,16 +343,14 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
     """JSON-ready dict with the exact field names of :class:`AnalysisReport`."""
     randomization = None
     if report.randomization is not None:
-        randomization = [
-            {
-                "trials": r.trials,
-                "changed": r.changed,
-                "change_fraction": _sig12(r.change_fraction),
-            }
-            for r in report.randomization
-        ]
+        randomization = [_randomization_dict(r) for r in report.randomization]
     doc = {name: getattr(report, name) for name in _COUNT_FIELDS + _PROBABILITY_FIELDS}
     return {**doc, "randomization": randomization}
+
+
+def _randomization_dict(r: RandomizationResult) -> dict[str, Any]:
+    """A randomization result's entry in a JSON document."""
+    return {"trials": r.trials, "changed": r.changed, "change_fraction": _sig12(r.change_fraction)}
 
 
 def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
@@ -425,7 +417,7 @@ def _report_text(report: AnalysisReport) -> Iterator[str]:
     yield f"corrected p-value: {report.corrected_pvalue:.12g}\n"
     if report.randomization is not None:
         texts = _per_result(_randomization_text, report.randomization)
-        lines = map("bet {}: {}\n".format, range(len(report.randomization)), texts)
+        lines = (f"bet {i}: {text}\n" for i, text in enumerate(texts))
         while piece := "".join(itertools.islice(lines, 4096)):
             yield piece
 

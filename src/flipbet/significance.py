@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,8 +99,6 @@ _BATCH_BYTES = 8 << 20
 # int64 holds, so every count fits the columns that hold them.
 _MAX_TRIALS = 2**63 - 1
 
-_IntOrArray = TypeVar("_IntOrArray", int, np.ndarray)
-
 
 def derive_seed(base_seed: int, index: int) -> int:
     """Deterministic per-stream seed for parallel or indexed runs.
@@ -112,21 +110,20 @@ def derive_seed(base_seed: int, index: int) -> int:
     ``[0, 2**64 - 1]``: every bit of both reaches the result.
     """
     base_seed, index = _seed(base_seed, "base_seed"), _integer(index, "index", 0, _MAX_SEED)
-    return _derived(base_seed, index)
+    return _derived(base_seed, np.array([index], np.uint64)).item()
 
 
-def _derived(base_seed: int, index: _IntOrArray) -> _IntOrArray:
-    """:func:`derive_seed` without its checks, also elementwise on a uint64 array of indices."""
-    return _mix64(base_seed ^ _mix64(index))
+def _derived(base_seed: int, indices: np.ndarray) -> np.ndarray:
+    """:func:`derive_seed` without its checks, elementwise on a uint64 array of indices."""
+    return _mix64(base_seed ^ _mix64(indices))
 
 
-def _mix64(z: _IntOrArray) -> _IntOrArray:
-    """The SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014), of an int
-    in ``[0, 2**64 - 1]`` or elementwise on a uint64 array, whose arithmetic
-    wraps modulo 2**64 as the masks make the int's do."""
-    z = (z + 0x9E3779B97F4A7C15) & _MAX_SEED
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MAX_SEED
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MAX_SEED
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014), elementwise
+    on a uint64 array, whose arithmetic wraps modulo 2**64."""
+    z = z + 0x9E3779B97F4A7C15
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
 
 
@@ -159,12 +156,21 @@ class MonteCarloEstimate:
 
     ``standard_error`` is ``sqrt(estimate * (1 - estimate) / trials)``, which
     is 0 at estimates of 0 and 1; :meth:`wilson_interval` stays honest there.
+
+    Raises:
+        DomainError: If ``trials`` is not an integer >= 1 or ``successes``
+            not an integer in ``[0, trials]`` (a bool is neither).
     """
 
     trials: int
     successes: int
     estimate: float
     standard_error: float
+
+    def __post_init__(self) -> None:
+        trials = _integer(self.trials, "trials", 1)
+        object.__setattr__(self, "successes", _integer(self.successes, "successes", 0, trials))
+        object.__setattr__(self, "trials", trials)
 
     def wilson_interval(self, z: float = 1.96) -> tuple[float, float]:
         """Wilson score interval ``(low, high)`` for the success probability.
@@ -447,7 +453,7 @@ def _replacement_changes(
     drawn = np.flatnonzero(first != _governing_flip(flip_times, np.maximum(hi, lo + span)))
     keys = keys[drawn].tolist()
     generator = _generator(0)
-    width = max(1, _BATCH_BYTES // 8)
+    width = _BATCH_BYTES // 8
     cols = min(trials, width)
     rows = width // cols
     for start in range(0, len(drawn), rows):
@@ -525,10 +531,9 @@ def monte_carlo_compound(
         required = {}
     if not required:
         return MonteCarloEstimate(trials, trials, 1.0, 0.0)
-    streams = [
-        (_generator(derive_seed(base_seed, e)), face is Face.HEADS) for e, face in required.items()
-    ]
-    rows = max(1, _BATCH_BYTES // 8)
+    keys = _derived(base_seed, np.fromiter(required, np.uint64, len(required))).tolist()
+    streams = [(_generator(key), face is Face.HEADS) for key, face in zip(keys, required.values())]
+    rows = _BATCH_BYTES // 8
     wins = 0
     for start in range(0, trials, rows):
         size = min(rows, trials - start)

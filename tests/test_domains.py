@@ -20,6 +20,7 @@ from flipbet import (
     FlipBetError,
     GameConfig,
     GameTrace,
+    MonteCarloEstimate,
     RandomizationResult,
     ValidationError,
     analyze,
@@ -83,6 +84,8 @@ INTEGER_PARAMETERS = {
     "random_reproduction_pvalue.m_effective": lambda v: random_reproduction_pvalue(1, v),
     "RandomizationResult.trials": lambda v: RandomizationResult(trials=v, changed=1).trials,
     "RandomizationResult.changed": lambda v: RandomizationResult(trials=2, changed=v).changed,
+    "MonteCarloEstimate.trials": lambda v: MonteCarloEstimate(v, 1, 1.0, 0.0).trials,
+    "MonteCarloEstimate.successes": lambda v: MonteCarloEstimate(2, v, 0.5, 0.35).successes,
     "report_from_dict.wins": lambda v: report_from_dict(_report_with("wins", v)).wins,
 }
 
@@ -100,6 +103,9 @@ REAL_PARAMETERS = {
     "randomization_test.interval.hi": lambda v: randomization_test(TRACE, 0, interval=(0.0, v)),
     "binomial_pmf.p": lambda v: binomial_pmf(1, 2, v),
     "losing_probability.p": lambda v: losing_probability(3, v),
+    "pairwise_conditional_probability.coin_bias": (
+        lambda v: pairwise_conditional_probability(*TRACE.bets, group_by_epoch(TRACE), v)
+    ),
     "report_from_dict.true_compound": (
         lambda v: report_from_dict(_report_with("true_compound", v))
     ),

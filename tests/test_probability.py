@@ -120,6 +120,12 @@ class TestPairwiseConditional:
                 paradox_trace.bets[1], paradox_trace.bets[0], grouping
             )
 
+    @pytest.mark.parametrize("coin_bias", [2.0, -0.5])
+    def test_coin_bias_outside_0_1_rejected(self, coin_bias):
+        trace = trace_of([(0.0, H), (0.5, H)], [(0.3, H), (0.7, H)])
+        with pytest.raises(DomainError, match=r"coin_bias must lie in \[0, 1\]"):
+            pairwise_conditional_probability(*trace.bets, group_by_epoch(trace), coin_bias)
+
 
 class TestNaiveCompound:
     def test_two_bets_quarter(self, paradox_trace):

@@ -31,6 +31,15 @@ def _quoted(token: str) -> str:
 
 
 def _reference_rows(path: Path, value_name: str) -> list[tuple[float, Face, int]]:
+    # A log that is not UTF-8 fails on its first bad byte before any row is
+    # read, found here line by line: a line end is ASCII, so no UTF-8
+    # sequence spans two lines.
+    for line, text in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
+        try:
+            text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            problem = f"not UTF-8: byte 0x{text[err.start]:02x} ({err.reason})"
+            raise CsvFormatError(problem, path=str(path), line=line) from None
     rows: list[tuple[float, Face, int]] = []
     with path.open(newline="", encoding="utf-8") as handle:
         for line_no, row in enumerate(csv.reader(handle), start=1):
@@ -79,24 +88,11 @@ def _reference_flips(path: Path) -> list[Flip]:
 
 
 def _outcome(read, path: Path):
-    """A reader's result, or its error's message and line.
-
-    Where the reference stops at a byte that is not UTF-8, the reader
-    reports the log's first such byte on its line, as found here line by
-    line: a line end is ASCII, so no UTF-8 sequence spans two lines.
-    """
+    """A reader's result, or its error's message and line."""
     try:
         return read(path)
     except CsvFormatError as err:
         return ("error", str(err), err.line)
-    except UnicodeDecodeError:
-        for line, text in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
-            try:
-                text.decode("utf-8")
-            except UnicodeDecodeError as err:
-                problem = f"not UTF-8: byte 0x{text[err.start]:02x} ({err.reason})"
-                return ("error", f"{path}:{line}: {problem}", line)
-        raise
 
 
 pads = st.sampled_from(["", " ", "  ", "\t"])
@@ -364,8 +360,9 @@ def test_the_cli_reads_any_log_without_a_traceback(tmp_path, capsys, text, role)
         (b"1,H\n\xff\xfe,H\n", 2, "byte 0xff (invalid start byte)"),
         (b"0,H\r\n1,T\r2,\xe2\x82", 3, "byte 0xe2 (unexpected end of data)"),
         (b"0,H\n" * 5000 + b"1,\xc3(\n", 5001, "byte 0xc3 (invalid continuation byte)"),
+        (b"0,H\n1,X\n" + b"2,H\n" * 5000 + b"3,\xff\n", 5003, "byte 0xff (invalid start byte)"),
     ],
-    ids=["second-line", "cr-line-ends", "past-the-first-chunk"],
+    ids=["second-line", "cr-line-ends", "past-the-first-chunk", "after-a-bad-face"],
 )
 def test_a_log_that_is_not_utf8_is_a_usage_error_on_its_line(tmp_path, capsys, data, line, problem):
     flips, bets = tmp_path / "flips.csv", tmp_path / "bets.csv"

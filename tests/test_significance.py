@@ -425,7 +425,7 @@ class TestBatchedRandomizationTests:
 
     @pytest.mark.parametrize("words", [1, 3, 7])
     def test_a_wide_row_is_drawn_in_chunks(self, monkeypatch, words):
-        # A row wider than the batch is drawn `words` raw words at a time,
+        # A row wider than the batch is drawn `words` doubles at a time,
         # each chunk continuing the bet's stream where the last stopped.
         config = GameConfig(horizon=100.0, seed=4)
         flips = np.linspace(0.0, 100.0, 40, endpoint=False).tolist()
@@ -734,6 +734,11 @@ class TestWilsonInterval:
         )
         low, high = mc.wilson_interval(4.0)
         assert low < mc.estimate < high and low < 0.25 < high
+
+    @pytest.mark.parametrize("trials,successes", [(0, 0), (5, 9), (5, -1)])
+    def test_a_hand_built_estimate_must_hold_counts_in_range(self, trials, successes):
+        with pytest.raises(DomainError):
+            MonteCarloEstimate(trials, successes, 0.2, 0.0)
 
     @pytest.mark.parametrize("z", [0, 0.0, -1.96, True, math.inf, math.nan, 1e200, "1.96"])
     def test_bad_z_rejected(self, z):
