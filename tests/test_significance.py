@@ -446,6 +446,33 @@ class TestBatchedRandomizationTests:
         assert keys.tolist() == [derive_seed(base_seed, i) for i in indices]
 
 
+def _splitmix64_finalizer(z: int) -> int:
+    """SplitMix64's output function on Python ints, reduced modulo 2**64 after each step."""
+    mask = 2**64 - 1
+    z = (z + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_mix64_gives_the_published_splitmix64_outputs_of_seed_0():
+    # A SplitMix64 generator seeded with 0 first outputs these two words: its
+    # state advances by the golden-ratio constant before each output.
+    assert significance._mix64(np.array([0], np.uint64)).item() == 0xE220A8397B1DCDAF
+    second = significance._mix64(np.array([0x9E3779B97F4A7C15], np.uint64)).item()
+    assert second == 0x6E789E6AA1B965F4
+
+
+EDGE_WORDS = [0, 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("index", EDGE_WORDS)
+@pytest.mark.parametrize("base_seed", EDGE_WORDS)
+def test_derive_seed_equals_a_python_int_splitmix64(base_seed, index):
+    expected = _splitmix64_finalizer(base_seed ^ _splitmix64_finalizer(index))
+    assert derive_seed(base_seed, index) == expected
+
+
 class TestRandomizationResult:
     @pytest.mark.parametrize(
         "trials,changed",
