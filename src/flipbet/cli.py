@@ -16,6 +16,7 @@ nothing reads wall-clock entropy, so every run is reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -215,9 +216,12 @@ def cmd_paradox_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built on the first call of main and reused: parsing leaves no state in it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         status = args.handler(args)
         sys.stdout.flush()

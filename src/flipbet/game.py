@@ -21,9 +21,10 @@ Conventions, fixed once and used everywhere:
 
 :class:`GameTrace` is the one place that checks a trace and applies the
 flip-first rule. Its truth is four read-only numpy columns (flip times,
-flip heads, bet times, bet heads), checked by one vectorized pass; one
-``np.searchsorted`` for each bet's governing flip both resolves the bets
-and builds the trace's epoch table, which every analysis reads. The
+flip heads, bet times, bet heads), checked by one vectorized pass. One
+``np.searchsorted`` of the flip times in the sorted bet times finds the
+run of bets each flip governs; those runs both resolve the bets and build
+the trace's epoch table, which every analysis reads. The
 :class:`Flip` and :class:`Bet` records of a trace are built from its
 columns on first access, unless the trace was built from records, which
 it keeps as given.
@@ -399,11 +400,12 @@ class GameTrace:
     heads, bet times and bet heads. ``GameTrace(config, flips, bets,
     resolutions)`` converts the records to those columns; the package's
     readers and the simulator build traces from columns directly. Either
-    way one private column constructor runs every check, resolves every
-    bet flip-first with one ``np.searchsorted`` and builds the epoch
-    table. ``flips``, ``bets`` and ``resolutions`` are tuples built from
-    the columns on first access and then cached; a trace built from
-    records keeps the caller's records as given.
+    way one private column constructor runs every check, finds each
+    flip's run of bets (flip-first) with one ``np.searchsorted`` of the
+    flip times in the bet times, and from those runs resolves every bet
+    and builds the epoch table. ``flips``, ``bets`` and ``resolutions``
+    are tuples built from the columns on first access and then cached; a
+    trace built from records keeps the caller's records as given.
 
     Invariants (enforced at construction):
 
@@ -449,7 +451,12 @@ class GameTrace:
         _check_schedule(config.horizon, flips, bets)
         flip_heads = _read_only(flips.faces == 1)
         bet_heads = _read_only(bets.faces == 1)
-        epoch = _governing_flip(flips.times, bets.times)
+        # Bet times never decrease, so flip i governs the run of bets from the
+        # first at or after its time (flip-first) to the first at or after
+        # the next flip's: one search of the flips in the bets.
+        runs = np.searchsorted(bets.times, flips.times)
+        sizes = np.diff(runs, append=len(bets.times))
+        epoch = np.repeat(np.arange(len(runs)), sizes)
         won = bet_heads == flip_heads[epoch]
         if resolutions is not None:
             given, derived = tuple(resolutions), tuple(won.tolist())
@@ -461,8 +468,8 @@ class GameTrace:
                 raise ValidationError(
                     "resolutions do not match bet predictions against the flip record"
                 )
-        # Bet times never decrease, so each epoch's bets form one contiguous run.
-        starts = np.flatnonzero(np.diff(epoch, prepend=-1))
+        occupied = np.flatnonzero(sizes)
+        starts = runs[occupied]
         codes = bet_heads.view(np.int8)
         low, high = np.minimum.reduceat(codes, starts), np.maximum.reduceat(codes, starts)
         vars(self).update(
@@ -474,7 +481,7 @@ class GameTrace:
             _epoch=_read_only(epoch),
             _won=_read_only(won),
             _starts=_read_only(starts),
-            _occupied=_read_only(epoch[starts]),
+            _occupied=_read_only(occupied),
             # per occupied epoch: 1 all heads, 0 all tails, -1 conflicting
             _epoch_faces=_read_only(np.where(low == high, high, -1).astype(np.int8)),
         )

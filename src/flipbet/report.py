@@ -165,8 +165,6 @@ def _read_log(path: str | Path, record: type[Flip] | type[Bet]) -> tuple[np.ndar
 
 _BLOCK_BYTES = 1 << 16  # the subset reader's block: its temporaries stay in cache
 _FAST_DIGITS = 15  # a time of at most 15 digits is an integer mantissa below 2**53
-_DIGIT_VALUES = np.zeros(256, np.int64)  # byte -> its digit's value, 0 for any other byte
-_DIGIT_VALUES[ord("0") : ord("9") + 1] = range(10)
 _POWERS_OF_TEN = 10.0 ** np.arange(_FAST_DIGITS + 1)  # exact doubles
 
 
@@ -184,18 +182,19 @@ def _subset_columns(data: bytes) -> tuple[np.ndarray, np.ndarray, range] | None:
     block of its own), so every temporary is bounded by the block, and the
     output columns are allocated once. In each block, numpy checks the
     subset and parses the rows together. A time of at most 15 digits is
-    read as an integer mantissa M, summed one digit column at a time, with
-    k digits after its dot: M and 10**k are exact doubles, so ``M / 10**k``
-    is the correctly rounded value that ``float()`` gives (Clinger's fast
-    path). The longer times of a block, of any length, are parsed together
-    by numpy's string-to-double, which rounds as ``float()`` does; one that
-    overflows to infinity leaves the log to the per-row reader.
+    read as an integer mantissa M, summed one digit column at a time from
+    the block's bytes less ``ord("0")``, with k digits after its dot: M
+    and 10**k are exact doubles, so ``M / 10**k`` is the correctly rounded
+    value that ``float()`` gives (Clinger's fast path). The longer times
+    of a block, of any length, are parsed together by numpy's
+    string-to-double, which rounds as ``float()`` does; one that overflows
+    to infinity leaves the log to the per-row reader.
     """
     end = data.find(b"\n")
     line_1 = data if end < 0 else data[:end].removesuffix(b"\r")
     header = _is_header(line_1)
     start = (len(data) if end < 0 else end + 1) if header else 0
-    rows = data.count(b"\n", start) + (start < len(data) and not data.endswith(b"\n"))
+    rows = _line_ends(data, start) + (start < len(data) and not data.endswith(b"\n"))
     times, heads = np.empty(rows), np.empty(rows, dtype=bool)
     row = 0
     while start < len(data):
@@ -213,6 +212,14 @@ def _subset_columns(data: bytes) -> tuple[np.ndarray, np.ndarray, range] | None:
     return times, heads, range(1 + header, 1 + header + rows)
 
 
+def _line_ends(data: bytes, start: int) -> int:
+    """The number of LFs in ``data[start:]``, counted by numpy one block at a
+    time, so that its temporary is bounded by the block."""
+    a = np.frombuffer(data, np.uint8)
+    steps = range(start, len(data), _BLOCK_BYTES)
+    return int(sum(np.count_nonzero(a[i : i + _BLOCK_BYTES] == ord("\n")) for i in steps))
+
+
 def _subset_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int | None:
     """Parse one block of whole lines, each ending in LF, into the first
     rows of ``times`` and ``heads``; the number of rows, or None if a row
@@ -225,13 +232,14 @@ def _subset_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int | N
     before[1:] = ends[:-1]
     comma, face = ends - 2, a[ends - 1]
     dots = np.flatnonzero(a == ord("."))
+    value = a - np.uint8(ord("0"))  # a digit's value; any other byte is above 9
     # A row is a non-empty time, a comma and a face; every other byte is a
     # digit, or a dot alone in its row with a digit on both sides.
     if not (
         (comma - before > 1).all()
         and (a[comma] == ord(",")).all()
         and ((face == ord("H")) | (face == ord("T"))).all()
-        and np.count_nonzero(a - np.uint8(ord("0")) > 9) == 3 * rows + len(dots)
+        and np.count_nonzero(value > 9) == 3 * rows + len(dots)
     ):
         return None
     digits = comma - before - 1
@@ -239,7 +247,7 @@ def _subset_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int | N
     fraction = np.zeros(rows, np.intp)  # the digits after each row's dot
     if len(dots):
         dot_rows = np.searchsorted(ends, dots)
-        sides = np.concatenate((a[dots - 1], a[dots + 1])) - np.uint8(ord("0"))
+        sides = np.concatenate((value[dots - 1], value[dots + 1]))
         if not ((dot_rows[1:] != dot_rows[:-1]).all() and (sides <= 9).all()):
             return None
         digits[dot_rows] -= 1
@@ -249,6 +257,7 @@ def _subset_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int | N
     fraction[long] = 0  # a long row's mantissa is partial, and is overwritten below
     # Column j holds each row's digit of weight 10**j: a position before the
     # row's start is clamped to the LF before it, which counts 0.
+    value[ends] = 0
     mantissa = np.zeros(rows, np.int64)
     at = comma.copy()
     for j in range(min(int(digits.max()), _FAST_DIGITS)):
@@ -256,7 +265,8 @@ def _subset_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int | N
         if len(dots):  # an integer block skips this: 10-15% of its parse
             at -= at == skip
         np.maximum(at, before, out=at)
-        mantissa += _DIGIT_VALUES[a[at]] * np.int64(10**j)
+        # The dtype keeps the product int64 where numpy 1.x would keep uint8.
+        mantissa += np.multiply(value[at], 10**j, dtype=np.int64)
     out = times[:rows]
     np.divide(mantissa, _POWERS_OF_TEN[fraction], out=out)
     if long.any():

@@ -25,6 +25,7 @@ from flipbet import (
     make_trace,
     report_to_dict,
 )
+from flipbet import cli
 from flipbet.cli import main
 from conftest import reference_randomization
 
@@ -516,6 +517,35 @@ class TestDemo:
         assert doc["report"]["naive_compound"] == 0.25
         assert doc["report"]["true_compound"] == 0.25
         assert doc["report"]["effective_events"] == 2
+
+
+def test_the_reused_parser_prints_what_fresh_parsers_print(paradox_files, capsys):
+    # main builds its parser once; a usage error in one call must leave
+    # nothing behind that changes what later calls print.
+    flips, bets = paradox_files
+    calls = [
+        ["analyze", "--flips", str(flips), "--format", "xml"],
+        ["analyze", "--flips", str(flips), "--bets", str(bets), "--randomize", "10"],
+        ["significance", "--wins", "3", "--effective", "4"],
+    ]
+
+    def run(argv: list[str]) -> tuple[object, str, str]:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    reused = [run(argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0]
+    assert "invalid choice: 'xml'" in reused[0][2]
 
 
 def test_module_entrypoint_runs():

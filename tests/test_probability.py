@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from flipbet import (
     Bet,
@@ -18,9 +21,27 @@ from flipbet import (
     pairwise_conditional_probability,
     true_compound_probability,
 )
-from conftest import traces
+from conftest import faces, traces
 
 H, T = Face.HEADS, Face.TAILS
+
+
+@st.composite
+def tied_traces(draw):
+    """A trace whose bets often sit on a flip's time, 0.0, -0.0 or the
+    horizon, in runs of equal times; it may have no bets."""
+    horizon = draw(st.floats(0.5, 50.0))
+    later = draw(st.lists(st.floats(0.0, horizon, exclude_min=True), unique=True, max_size=6))
+    flip_times = [0.0, *sorted(later)]
+    pool = [*flip_times, 0.0, -0.0, flip_times[-1], horizon]
+    time = st.sampled_from(pool) | st.floats(0.0, horizon)
+    runs = draw(st.lists(st.tuples(time, st.integers(1, 3)), max_size=8))
+    bet_times = sorted(t for t, repeat in runs for _ in range(repeat))
+    return make_trace(
+        GameConfig(horizon=horizon),
+        [Flip(t, draw(faces)) for t in flip_times],
+        [Bet(t, draw(faces)) for t in bet_times],
+    )
 
 
 def trace_of(flips, bets, horizon=1.0, bias=0.5):
@@ -82,6 +103,26 @@ class TestGroupByEpoch:
             assert trace.flips[epoch].time <= trace.bets[i].time
             if epoch + 1 < len(trace.flips):
                 assert trace.bets[i].time < trace.flips[epoch + 1].time
+
+    @given(tied_traces())
+    def test_epoch_table_matches_a_bisect_reference(self, trace):
+        # Flip-first: a bet governed by the latest flip at or before its time.
+        flip_times = [f.time for f in trace.flips]
+        epoch_of_bet = [bisect_right(flip_times, b.time) - 1 for b in trace.bets]
+        bets_per_epoch: dict[int, tuple[int, ...]] = {}
+        for i, epoch in enumerate(epoch_of_bet):
+            bets_per_epoch[epoch] = (*bets_per_epoch.get(epoch, ()), i)
+        epoch_faces = {}
+        for epoch, ix in bets_per_epoch.items():
+            predicted = {trace.bets[i].prediction for i in ix}
+            epoch_faces[epoch] = predicted.pop() if len(predicted) == 1 else None
+        grouping = group_by_epoch(trace)
+        assert grouping.epoch_of_bet == tuple(epoch_of_bet)
+        assert list(grouping.bets_per_epoch.items()) == list(bets_per_epoch.items())
+        assert list(grouping.faces.items()) == list(epoch_faces.items())
+        assert trace.resolutions == tuple(
+            b.prediction is trace.flips[e].outcome for b, e in zip(trace.bets, epoch_of_bet)
+        )
 
 
 class TestPairwiseConditional:

@@ -186,6 +186,64 @@ def test_an_overflowing_row_in_the_last_block_leaves_the_log_to_the_per_row_read
     assert "time out of range" in str(err.value)
 
 
+def _read_in_blocks(tmp_path: Path, monkeypatch, blocks: list[list[str]]) -> np.ndarray:
+    """Read a log whose subset blocks are exactly ``blocks``, each padded
+    with a filler row to 48 bytes; the times, checked as :func:`_check` does."""
+    size = 48
+    texts = []
+    for rows in blocks:
+        room = size - len("".join(rows)) - len(",T\n")
+        texts.append("".join(rows) + "4" * room + ",T\n")
+    monkeypatch.setattr(report, "_BLOCK_BYTES", size)
+    parsed = []
+    parse = report._subset_block
+
+    def spy(block: bytes, *columns: np.ndarray) -> int | None:
+        parsed.append(block.decode())
+        return parse(block, *columns)
+
+    monkeypatch.setattr(report, "_subset_block", spy)
+    times, _, _ = _check(tmp_path, "".join(texts).encode())
+    assert parsed == texts
+    return times
+
+
+def test_a_one_digit_row_opens_a_block_after_a_fifteen_digit_row(tmp_path, monkeypatch):
+    # The first row's digit columns above its one digit are clamped to the
+    # block's last LF, never to the previous block's bytes.
+    blocks = [
+        ["5,H\n", "123456789012345,T\n"],
+        ["7,T\n", "987654321098765,H\n"],
+        ["8,H\n", "100000000000000,T\n"],
+    ]
+    times = _read_in_blocks(tmp_path, monkeypatch, blocks)
+    assert times[::3].tolist() == [5.0, 7.0, 8.0]
+
+
+def test_a_dotted_row_opens_a_block(tmp_path, monkeypatch):
+    blocks = [
+        ["7,H\n", "123456789012345,T\n"],
+        ["1.23456789012345,H\n", "3,T\n"],
+        ["9.5,T\n", "0.000000000000001,H\n"],
+        ["0.5,H\n", "2,T\n", "98765432109.5,H\n"],
+    ]
+    times = _read_in_blocks(tmp_path, monkeypatch, blocks)
+    assert times[[3, 6, 9]].tolist() == [1.23456789012345, 9.5, 0.5]
+
+
+def test_a_sixteen_digit_row_beside_one_digit_rows(tmp_path, monkeypatch):
+    # The 16-digit rows go to the long rows' pass; their one-digit
+    # neighbours keep the integer-mantissa path.
+    blocks = [
+        ["1,H\n", "1234567890123456,T\n", "2,H\n"],
+        ["9007199254740993,H\n", "3,T\n"],
+        ["4,H\n", "5,T\n", "123456789012345.6,H\n", "6,T\n"],
+    ]
+    times = _read_in_blocks(tmp_path, monkeypatch, blocks)
+    assert times[[0, 2, 5, 7, 8, 10]].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert times[[1, 4, 9]].tolist() == [1234567890123456.0, 9007199254740992.0, 123456789012345.6]
+
+
 @st.composite
 def subset_times(draw) -> str:
     whole = draw(st.text("0123456789", min_size=1, max_size=20))
