@@ -115,13 +115,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.bets is not None:
         bets = _Columns(*_read_log(args.bets, Bet))
     trace = _simulate(config, _columns(args.flip_times), bets)
-    text = _trace_json(trace)
+    pieces = _trace_json(trace)
     if args.out is not None:
         with args.out.open("w", encoding="utf-8") as out:
-            out.write(text)
+            out.writelines(pieces)
             out.write("\n")
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
     return 0
 
 

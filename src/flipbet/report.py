@@ -536,36 +536,43 @@ def trace_to_dict(trace: GameTrace) -> dict[str, Any]:
     }
 
 
-_TRACE_JSON = """\
-{{
-  "config": {{
-    "horizon": {},
-    "coin_bias": {},
-    "seed": {}
-  }},
-  "flips": {},
-  "bets": {},
-  "resolutions": {}
-}}"""
+_WRITE_ROWS = 4096  # rows per piece of a trace document
+_RESOLUTIONS = np.array([b"    false,\n", b"    true,\n"], dtype="S11")  # indexed by won
 
 
-def _trace_json(trace: GameTrace) -> str:
-    """``json.dumps(trace_to_dict(trace), indent=2)``, written from the columns.
+def _trace_json(trace: GameTrace) -> Iterator[str]:
+    """``json.dumps(trace_to_dict(trace), indent=2)`` in pieces, written from the columns.
 
-    A list of flips or bets is one ``"".join`` over a flat list of parts,
-    and a resolution is one of two written texts, so no record or dict is
-    built per row and no row's text is concatenated on its own. Times are
-    written from the float columns, so a trace built from records with int
-    times writes them as floats, where :func:`trace_to_dict` keeps them as
-    given.
+    The lists of flips, bets and resolutions come in blocks of
+    ``_WRITE_ROWS`` rows, one piece per block, so the whole document is
+    never built and the writer's memory does not grow with the trace. No
+    record or dict is built per row.
+
+    A time is written as the JSON encoder writes a finite float, by
+    ``float.__repr__``, except in a block whose times are all integers in
+    ``[0, 2**53)``, none of them ``-0.0``. Every integer below 2**53 is a
+    double, and ``repr`` writes it as the integer's own digits followed by
+    ``.0`` (it takes an exponent only from 1e16), so such a block is
+    written from its digits (:func:`_integral_digits`). ``-0.0`` passes a
+    trace's ``0.0 <= t`` check, and ``repr`` writes its sign. Any other
+    block keeps ``float.__repr__``: the block is the unit of choice.
+
+    Times are written from the float columns, so a trace built from records
+    with int times writes them as floats, where :func:`trace_to_dict` keeps
+    them as given.
     """
     config = trace.config
-    return _TRACE_JSON.format(
-        *map(json.dumps, (config.horizon, config.coin_bias, config.seed)),
-        _json_rows("outcome", trace._flip_times.tolist(), trace._flip_heads),
-        _json_rows("prediction", trace._bet_times.tolist(), trace._bet_heads),
-        _json_list(map(("    false", "    true").__getitem__, trace._won.tolist())),
+    horizon, coin_bias, seed = map(json.dumps, (config.horizon, config.coin_bias, config.seed))
+    yield (
+        f'{{\n  "config": {{\n    "horizon": {horizon},\n    "coin_bias": {coin_bias},\n'
+        f'    "seed": {seed}\n  }},\n  "flips": '
     )
+    yield from _json_rows("outcome", trace._flip_times, trace._flip_heads)
+    yield ',\n  "bets": '
+    yield from _json_rows("prediction", trace._bet_times, trace._bet_heads)
+    yield ',\n  "resolutions": '
+    yield from _json_resolutions(trace._won)
+    yield "\n}"
 
 
 def _scalars(values: list) -> list[str]:
@@ -573,26 +580,75 @@ def _scalars(values: list) -> list[str]:
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
-def _json_rows(face_name: str, times: list[float], heads: np.ndarray) -> str:
-    """A trace document's list of ``{"time": ..., face_name: ...}`` objects.
+def _json_rows(face_name: str, times: np.ndarray, heads: np.ndarray) -> Iterator[str]:
+    """A trace document's list of ``{"time": ..., face_name: ...}`` objects,
+    one piece per block of rows.
 
-    The parts alternate time and separator: ``between[f]`` closes a row of
-    face ``f`` and opens the next. A time is its ``float.__repr__``, which
-    is how the JSON encoder writes a finite float, and a trace's times are
-    finite.
+    A block's parts alternate time and separator: ``between[f]`` closes a
+    row of face ``f`` and opens the next, so a block's last row opens the
+    next block's first. The ``.0`` of a block of integral times goes at
+    the front of its separators, not onto each time.
     """
-    if not times:
-        return "[]"
+    if not len(times):
+        yield "[]"
+        return
     opening = '    {\n      "time": '
     closings = [f',\n      "{face_name}": "{face.token}"\n    }}' for face in _FACES]
-    between = [closing + ",\n" + opening for closing in closings]
-    faces = heads.tolist()
-    parts = [""] * (2 * len(times) + 1)
-    parts[0] = "[\n" + opening
-    parts[1::2] = map(float.__repr__, times)
-    parts[2:-1:2] = map(between.__getitem__, faces[:-1])
-    parts[-1] = closings[faces[-1]] + "\n  ]"
-    return "".join(parts)
+    yield "[\n" + opening
+    for start in range(0, len(times), _WRITE_ROWS):
+        block = times[start : start + _WRITE_ROWS]
+        written, suffix = _integral_digits(block), ".0"
+        if written is None:
+            written, suffix = map(float.__repr__, block.tolist()), ""
+        # By heads flag; a gather of an object array costs less than a map.
+        between = np.array([suffix + closing + ",\n" + opening for closing in closings], object)
+        parts = [""] * (2 * len(block))
+        parts[::2] = written
+        parts[1::2] = between[heads[start : start + _WRITE_ROWS].view(np.uint8)].tolist()
+        if start + len(block) == len(times):
+            parts[-1] = suffix + closings[int(heads[-1])] + "\n  ]"
+        yield "".join(parts)
+
+
+def _integral_digits(times: np.ndarray) -> list[str] | None:
+    """The decimal digits of each time, if every time is an integer in
+    ``[0, 2**53)`` and none is ``-0.0`` (see :func:`_trace_json`); else None.
+
+    The digits are peeled one column at a time into a byte matrix with a
+    line end closing each row. A row's positions above its first digit
+    stay NUL, and the NULs are dropped before the text is split.
+    """
+    if not times.max() < 2.0**53 or np.signbit(times).any():
+        return None
+    value = times.astype(np.int64)
+    if not (value == times).all():
+        return None
+    width = len(str(value.max()))
+    matrix = np.empty((len(value), width + 1), np.uint8)
+    matrix[:, width] = ord("\n")
+    zero = np.uint8(ord("0"))
+    for j in reversed(range(width)):
+        shown = value != 0  # else this position is above the first digit
+        quotient = value // 10
+        np.subtract(value, 10 * quotient, out=matrix[:, j], casting="unsafe")
+        matrix[:, j] += zero if j == width - 1 else shown.view(np.uint8) * zero
+        value = quotient
+    packed = matrix[matrix != 0]
+    return packed[:-1].tobytes().decode().split("\n")
+
+
+def _json_resolutions(won: np.ndarray) -> Iterator[str]:
+    """A trace document's list of resolutions, one piece per block of rows:
+    each row is one of two byte texts, and the NUL that pads ``true`` to the
+    width of ``false`` is dropped."""
+    if not len(won):
+        yield "[]"
+        return
+    yield "[\n"
+    for start in range(0, len(won), _WRITE_ROWS):
+        rows = _RESOLUTIONS[won[start : start + _WRITE_ROWS].view(np.uint8)].view(np.uint8)
+        text = rows[rows != 0].tobytes().decode()
+        yield text if start + _WRITE_ROWS < len(won) else text[:-2] + "\n  ]"
 
 
 def _json_list(items: Iterable[str]) -> str:

@@ -563,10 +563,11 @@ def test_module_entrypoint_runs():
     assert proc.stdout.strip() == "0.0573437605422"
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("fmt", ["json", "text", "simulate"])
 def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(tmp_path, fmt):
-    # 2 x 10^4 bet lines are far more than a pipe buffer holds, so the child
-    # is still writing when the reader closes the pipe after one line.
+    # 2 x 10^4 bet lines, or a trace of 2 x 10^4 bets, are far more than a
+    # pipe buffer holds, so the child is still writing when the reader
+    # closes the pipe after one line.
     flips, bets = tmp_path / "flips.csv", tmp_path / "bets.csv"
     flips.write_text("0,H\n")
     bets.write_text("".join(f"{t},H\n" for t in range(1, 20_001)))
@@ -574,6 +575,8 @@ def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(tmp_path, fmt):
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     argv = ["analyze", "--flips", str(flips), "--bets", str(bets), "--randomize", "1",
             "--format", fmt]
+    if fmt == "simulate":
+        argv = ["simulate", "--horizon", "20000", "--flip-times", "0", "--bets", str(bets)]
     proc = subprocess.Popen(
         [sys.executable, "-m", "flipbet", *argv],
         stdout=subprocess.PIPE,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -29,8 +30,9 @@ from flipbet import (
     trace_from_dict,
     trace_to_dict,
 )
-from conftest import game_inputs, traces
-from flipbet.game import simulate_game
+from conftest import faces, game_inputs, traces
+from flipbet import report as report_module
+from flipbet.game import GameTrace, _Columns, simulate_game
 from flipbet.report import _report_text, _trace_json
 
 H, T = Face.HEADS, Face.TAILS
@@ -368,7 +370,7 @@ class TestTraceJson:
 
     @given(trace=traces(max_flips=6, max_bets=8))
     def test_record_built_trace(self, trace):
-        assert _trace_json(trace) == _indented_dump(trace)
+        assert "".join(_trace_json(trace)) == _indented_dump(trace)
 
     @settings(deadline=None)
     @given(inputs=game_inputs(max_flips=6, max_bets=8), cached=st.booleans())
@@ -376,7 +378,7 @@ class TestTraceJson:
         trace = simulate_game(*inputs)
         if cached:
             trace.flips, trace.bets  # records built from the columns and cached
-        assert _trace_json(trace) == _indented_dump(trace)
+        assert "".join(_trace_json(trace)) == _indented_dump(trace)
 
     def test_config_as_given_and_times_from_columns(self):
         # The writer reads the trace's float time columns, so int times come
@@ -384,7 +386,7 @@ class TestTraceJson:
         # (test_trace_dict_keeps_integer_times_as_given).
         config = GameConfig(horizon=3, coin_bias=1, seed=np.uint64(7))
         trace = make_trace(config, [Flip(0, H), Flip(2.0, H)], [Bet(1, H), Bet(2, T), Bet(2.5, H)])
-        text = _trace_json(trace)
+        text = "".join(_trace_json(trace))
         float_times = make_trace(
             config, [Flip(0.0, H), Flip(2.0, H)], [Bet(1.0, H), Bet(2.0, T), Bet(2.5, H)]
         )
@@ -393,7 +395,7 @@ class TestTraceJson:
 
     def test_no_bets_is_an_empty_list(self):
         trace = simulate_game(GameConfig(horizon=1.0, seed=4), [0.0, 0.5], [])
-        text = _trace_json(trace)
+        text = "".join(_trace_json(trace))
         assert text == _indented_dump(trace)
         assert '"bets": [],\n  "resolutions": []\n}' in text
 
@@ -405,14 +407,14 @@ class TestTraceJson:
             config, [Flip(0.0, H), Flip(5e-324, T), Flip(1e-07, H)],
             [Bet(5e-324, T), Bet(1e-07, T), Bet(1e16, H)],
         )
-        text = _trace_json(trace)
+        text = "".join(_trace_json(trace))
         assert text == _indented_dump(trace)
         assert '"time": 5e-324,' in text and '"time": 1e-07,' in text and '"time": 1e+16,' in text
 
     @pytest.mark.parametrize("face", [H, T])
     def test_a_single_row_takes_its_own_closing(self, face):
         trace = make_trace(GameConfig(horizon=1.0), [Flip(0.0, face)], [Bet(0.5, face)])
-        text = _trace_json(trace)
+        text = "".join(_trace_json(trace))
         assert text == _indented_dump(trace)
         assert f'"prediction": "{face.token}"\n    }}\n  ],' in text
 
@@ -422,4 +424,76 @@ class TestTraceJson:
         bet_times = np.sort(rng.uniform(0.0, 1000.0, 10_000)).tolist()
         bets = [Bet(t, H if heads else T) for t, heads in zip(bet_times, rng.random(10_000) < 0.5)]
         trace = simulate_game(GameConfig(horizon=1000.0, coin_bias=0.6, seed=14), flips, bets)
-        assert _trace_json(trace) == _indented_dump(trace)
+        assert "".join(_trace_json(trace)) == _indented_dump(trace)
+
+
+# Times for the writer's block edges. Of the integral ones, -0.0 keeps its
+# sign, and 2**53 and up fall outside the digits rule (1e16 takes an
+# exponent); 5e-324 and 1e-07 take an exponent too.
+SMALL_TIMES = [0.0, -0.0, 5e-324, 1e-07]
+LARGE_TIMES = [float(2**53 - 1), float(2**53), float(2**53 + 2), 1e15, 1e16]
+
+
+@st.composite
+def blocked_times(draw, rows: int, block: int) -> list[float]:
+    """Sorted times whose blocks of ``block`` rows are each all integral, all
+    fractional or mixed. Block k draws from ``[k * 2**20, (k + 1) * 2**20)``,
+    the first block also from the small edge times, and the last from the
+    large ones."""
+    times: list[float] = []
+    starts = range(0, rows, block)
+    for k, start in enumerate(starts):
+        integral = st.integers(k << 20, ((k + 1) << 20) - 1).map(float)
+        fractional = st.floats(k << 20, (k + 1) << 20, exclude_max=True).filter(lambda t: t % 1)
+        edges = (SMALL_TIMES if k == 0 else []) + (LARGE_TIMES if k == len(starts) - 1 else [])
+        if whole := [t for t in edges if t % 1 == 0]:
+            integral |= st.sampled_from(whole)
+        if parts := [t for t in edges if t % 1]:
+            fractional |= st.sampled_from(parts)
+        kind = draw(st.sampled_from([[integral], [fractional], [integral, fractional]]))
+        # A mixed block holds both kinds: its rows take each in turn.
+        drawn = [draw(kind[i % len(kind)]) for i in range(min(block, rows - start))]
+        times += sorted(drawn)
+    return times
+
+
+@settings(deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 2, 3, 5]))
+def test_written_blocks_join_to_the_indented_dump(data, block):
+    rows = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block - 1,
+                                      2 * block, 2 * block + 1, 3 * block + 1]))
+    times = data.draw(blocked_times(rows, block))
+    flip_times = sorted({0.0, *times})  # -0.0 == 0.0, so one of them opens the game
+    flips = [Flip(t, data.draw(faces)) for t in flip_times]
+    bets = [Bet(t, data.draw(faces)) for t in times]
+    trace = make_trace(GameConfig(horizon=max([1.0, *times])), flips, bets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report_module, "_WRITE_ROWS", block)
+        assert "".join(_trace_json(trace)) == _indented_dump(trace)
+
+
+@pytest.mark.parametrize("integral", [True, False])
+def test_writing_a_trace_peaks_below_a_bound_independent_of_its_rows(tmp_path, integral):
+    # A writer that builds the whole 14.9 MB document peaks at 33.7 MiB on
+    # this trace. Writing in blocks of 4096 rows peaks at about 0.8 MiB for
+    # integral times and 0.9 MiB for fractional ones, at 2 x 10^4 rows as at
+    # 10^6; the bound leaves room for a block twice as large.
+    rows = 200_000
+    rng = np.random.default_rng(15)
+    bet_times = np.sort(rng.integers(0, 10**6, rows)).astype(float)
+    if not integral:
+        bet_times = np.sort(rng.uniform(0.0, 1e6, rows))
+    flips = _Columns(np.arange(0.0, 1e6, 100.0), rng.random(10_000) < 0.5)
+    trace = GameTrace._from_columns(
+        GameConfig(horizon=1e6, coin_bias=0.6), flips, _Columns(bet_times, rng.random(rows) < 0.5)
+    )
+    path = tmp_path / "trace.json"
+    tracemalloc.start()
+    try:
+        with path.open("w", encoding="utf-8") as out:
+            out.writelines(_trace_json(trace))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert path.stat().st_size > 14_000_000
