@@ -171,22 +171,25 @@ _POWERS_OF_TEN = 10.0 ** np.arange(_FAST_DIGITS + 1)  # exact doubles
 def _subset_columns(data: bytes) -> tuple[np.ndarray, np.ndarray, range] | None:
     """The columns of a log in the common subset of the grammar, or None.
 
-    The subset: rows ``digits[.digits],H`` or ``digits[.digits],T``, LF or
-    CRLF line ends with the last one optional, and an optional header on
-    line 1 that the per-row reader's own rule recognises. Such a log has
-    none of the forms that reader treats specially (blank lines, quoting,
-    padding, lowercase faces, exponents, ``nan``...), so row i is the row
-    that reader reads from line i + 1 + header.
+    The subset: rows ``digits[.digits],F`` with the face F one of ``H``,
+    ``T``, ``h`` or ``t``, LF or CRLF line ends with the last one
+    optional, and an optional header on line 1 that the per-row reader's
+    own rule recognises. Such a log has none of the forms that reader
+    treats specially (blank lines, quoting, padding, exponents, ``nan``...),
+    so row i is the row that reader reads from line i + 1 + header.
 
     The log is read in blocks of 64 KiB cut at line ends (a longer row is a
     block of its own), so every temporary is bounded by the block, and the
     output columns are allocated once. In each block, numpy checks the
-    subset and parses the rows together. A time of at most 15 digits is
-    read as an integer mantissa M, summed one digit column at a time from
-    the block's bytes less ``ord("0")``, with k digits after its dot: M
-    and 10**k are exact doubles, so ``M / 10**k`` is the correctly rounded
-    value that ``float()`` gives (Clinger's fast path). The longer times
-    of a block, of any length, are parsed together by numpy's
+    subset and parses the rows together. A block whose rows all have one
+    width and at most 15 digits, as sorted integer times mostly do, is a
+    byte matrix whose times come from one matrix-vector product
+    (:func:`_same_width_block`). In any other block, a time of at most 15
+    digits is read as an integer mantissa M, summed one digit column at a
+    time from the block's bytes less ``ord("0")``, with k digits after its
+    dot: M and 10**k are exact doubles, so ``M / 10**k`` is the correctly
+    rounded value that ``float()`` gives (Clinger's fast path). The longer
+    times of a block, of any length, are parsed together by numpy's
     string-to-double, which rounds as ``float()`` does; one that overflows
     to infinity leaves the log to the per-row reader.
     """
@@ -223,14 +226,23 @@ def _line_ends(data: bytes, start: int) -> int:
 def _subset_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int | None:
     """Parse one block of whole lines, each ending in LF, into the first
     rows of ``times`` and ``heads``; the number of rows, or None if a row
-    is outside the subset."""
+    is outside the subset.
+
+    A block whose rows all have one width is read as a byte matrix
+    (:func:`_same_width_block`). Any other block, or one that fails that
+    path's checks, is read here, and this path alone decides whether the
+    block is outside the subset.
+    """
+    rows = _same_width_block(block, times, heads)
+    if rows is not None:
+        return rows
     a = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(a == ord("\n"))
     rows = len(ends)
     before = np.empty_like(ends)  # the LF before each row; -1 wraps to the block's last LF
     before[0] = -1
     before[1:] = ends[:-1]
-    comma, face = ends - 2, a[ends - 1]
+    comma, face = ends - 2, a[ends - 1] | np.uint8(0x20)  # the face in lowercase
     dots = np.flatnonzero(a == ord("."))
     value = a - np.uint8(ord("0"))  # a digit's value; any other byte is above 9
     # A row is a non-empty time, a comma and a face; every other byte is a
@@ -238,7 +250,7 @@ def _subset_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int | N
     if not (
         (comma - before > 1).all()
         and (a[comma] == ord(",")).all()
-        and ((face == ord("H")) | (face == ord("T"))).all()
+        and ((face == ord("h")) | (face == ord("t"))).all()
         and np.count_nonzero(value > 9) == 3 * rows + len(dots)
     ):
         return None
@@ -278,7 +290,43 @@ def _subset_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int | N
         out[long] = np.fromstring(text.tobytes(), sep=" ")
         if not np.isfinite(out).all():
             return None  # too many digits for a float: the per-row reader reports the row
-    heads[:rows] = face == ord("H")
+    heads[:rows] = face == ord("h")
+    return rows
+
+
+def _same_width_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int | None:
+    """Parse a block whose rows all have one width, each a time of 1 to 15
+    digits without a dot, a comma, a face and LF, as a ``(rows, width)``
+    byte matrix; the number of rows, or None if it is not such a block.
+
+    Each time is its row of digit values times the column weights
+    ``10**(width - 4) ... 10**0``, with weight 0 on the comma, face and LF
+    columns. Every product is an exact double, and every partial sum is an
+    integer below ``10**15 < 2**53``, so the sum is the double that
+    ``float()`` gives in any order of summation, with or without fused
+    multiply-adds; a time of zeros sums to ``+0.0``, as ``float()`` reads it.
+    """
+    width = block.index(b"\n") + 1
+    rows = len(block) // width
+    if rows * width != len(block) or not 4 <= width <= _FAST_DIGITS + 3:
+        return None
+    if block.rfind(b"\n", 0, -1) != len(block) - 1 - width:
+        return None  # the last row's width: one byte search rules out most mixed blocks
+    m = np.frombuffer(block, np.uint8).reshape(rows, width)
+    if not ((m[:, -1] == ord("\n")).all() and (m[:, -3] == ord(",")).all()):
+        return None
+    face = m[:, -2] | np.uint8(0x20)  # the face in lowercase
+    is_heads = face == ord("h")
+    value = m - np.uint8(ord("0"))  # a digit's value; any other byte is above 9
+    # The LF, comma and face columns hold no digit, so 3 non-digits per row
+    # leave no dot or stray byte in the times.
+    if not ((is_heads | (face == ord("t"))).all() and np.count_nonzero(value > 9) == 3 * rows):
+        return None
+    weights = np.zeros(width)
+    weights[:-3] = _POWERS_OF_TEN[width - 4 :: -1]
+    # The whole matrix converts faster than its strided digit columns.
+    np.matmul(value.astype(np.float64), weights, out=times[:rows])
+    heads[:rows] = is_heads
     return rows
 
 

@@ -292,7 +292,6 @@ OUTSIDE_SUBSET = {
     "padded-time": "0,H\n 2.5,T\n1,T\n",
     "padded-face": "0,H\n2.5,T \n1,T\n",
     "tab": "0,H\n2.5\t,T\n1,T\n",
-    "lowercase-face": "0,H\n2.5,t\n1,T\n",
     "blank-line": "0,H\n\n2.5,T\n1,T\n",
     "whitespace-line": "0,H\n   \n2.5,T\n1,T\n",
     "underscore": "0,H\n1_000,T\n1,T\n",
@@ -334,10 +333,25 @@ def test_each_form_outside_the_subset_goes_to_the_per_row_reader(tmp_path, text)
     _check_against_reference(tmp_path, data)
 
 
+# Lowercase faces are in the subset, in a block of mixed widths and in one
+# of a single width.
+LOWERCASE_FACES = {
+    "lowercase-face": "0,H\n2.5,t\n1,T\n",
+    "lowercase-same-width": "time,prediction\n10,h\n12,t\n11,T\n",
+}
+
+
+@pytest.mark.parametrize("text", LOWERCASE_FACES.values(), ids=LOWERCASE_FACES)
+def test_lowercase_faces_take_the_fast_path_and_match_the_reference(tmp_path, text):
+    assert report._subset_columns(text.encode()) is not None
+    _check_against_reference(tmp_path, text)
+
+
 # Each log outside the subset, and each bad row in a small log, as either
 # log of ``flipbet analyze``: the CLI accepts it or names the problem.
 CLI_LOGS = {
     **OUTSIDE_SUBSET,
+    "lowercase-face": LOWERCASE_FACES["lowercase-face"],
     **{f"bad-row-{i}": "0,H\n" + ",".join(row) + "\n1,T\n" for i, row in enumerate(BAD_ROWS)},
 }
 

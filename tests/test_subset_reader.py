@@ -5,11 +5,14 @@ time. Each log here is checked against the per-row reader
 (``report._read_rows``: times, faces and lines, or its error), and every
 time against Python's ``float()`` bit for bit. Rows sit at block edges: the
 last row of a block ends on its last byte, and the next row opens the next
-block.
+block. A block whose rows share one width takes a byte-matrix path; the
+tests at the end check that it reads what the per-row reader reads, and
+which blocks take it.
 """
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -154,7 +157,7 @@ OUTSIDE_SUBSET_ROWS = [
     "1_000,H",
     "-1,H",
     " 1,H",
-    "1,h",
+    "1,x",  # one bit from a lowercase face
     "1,HH",
     "1,H,H",
     "1\r,H",  # a lone CR
@@ -292,3 +295,93 @@ def test_temporaries_are_bounded_by_the_block(tmp_path):
     assert output == 9 * rows
     assert peak < output + (2 << 20)
     assert columns[0].tolist() == [float(t) for t in times]
+
+
+# -- blocks whose rows share one width: the byte-matrix path
+
+SUBSET_ROW = re.compile(rb"[0-9]+(\.[0-9]+)?,[HTht]")
+
+
+@st.composite
+def same_width_logs(draw) -> bytes:
+    """A log whose rows share one width of 4 to 19 bytes with LF, so 1 to
+    16 digits, with one byte after line 1 optionally replaced."""
+    width = draw(st.one_of(st.sampled_from([18, 19]), st.integers(4, 19)))
+    count = draw(st.integers(1, 60))
+    times = st.text("0123456789", min_size=width - 3, max_size=width - 3)
+    rows = [f"{draw(times)},{draw(st.sampled_from('HThT'))}" for _ in range(count)]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.booleans()):
+        rows.insert(0, "time,prediction")
+    data = bytearray((newline.join(rows) + draw(st.sampled_from(["", newline]))).encode())
+    line_2 = data.find(b"\n") + 1
+    if line_2 and line_2 < len(data) and draw(st.booleans()):
+        at = draw(st.integers(line_2, len(data) - 1))
+        data[at] = ord(draw(st.sampled_from(". x-ht")))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=same_width_logs(), block=st.integers(1, 100))
+def test_same_width_logs_read_what_the_per_row_reader_reads(tmp_path_factory, data, block):
+    # A log is in the subset iff every row after a header matches the
+    # subset's row; line 1 is never altered, so it is a header or a row.
+    rows = [line.removesuffix(b"\r") for line in data.removesuffix(b"\n").split(b"\n")]
+    if rows[0] == b"time,prediction":
+        rows = rows[1:]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "_BLOCK_BYTES", block)
+        if all(SUBSET_ROW.fullmatch(row) for row in rows):
+            _check(tmp_path_factory.mktemp("log"), data)
+        else:
+            assert report._subset_columns(data) is None
+
+
+def _matrix_results(monkeypatch, data: bytes) -> list[int | None]:
+    """Read ``data``; what the matrix path returned for each block."""
+    results = []
+    parse = report._same_width_block
+
+    def spy(block: bytes, *columns: np.ndarray) -> int | None:
+        results.append(parse(block, *columns))
+        return results[-1]
+
+    monkeypatch.setattr(report, "_same_width_block", spy)
+    assert report._subset_columns(data) is not None
+    return results
+
+
+def test_a_sorted_integer_log_takes_the_matrix_path(tmp_path, monkeypatch):
+    # Unix seconds through one year: every row has 10 digits. Faces come in
+    # either case, and both take the matrix path.
+    rows = 100_000
+    rng = np.random.default_rng(17)
+    times = np.sort(rng.integers(1_672_531_200, 1_704_067_200, rows)).tolist()
+    faces = rng.choice(["H", "T", "h", "t"], rows).tolist()
+    data = ("time,outcome\n" + "".join(f"{t},{f}\n" for t, f in zip(times, faces))).encode()
+    results = _matrix_results(monkeypatch, data)
+    assert len(results) >= len(data) // BLOCK
+    assert sum(r is not None for r in results) >= 0.95 * len(results)
+    _check(tmp_path, data)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["0,T\n"] + [f"{t},H\n" for t in range(1628, 20_000, 7)],  # widths 4, 7 and 8
+        ["1,H\n", "12345,T\n", "1,H\n"],  # 16 bytes: a multiple of the first width
+        ["123,H\n", "1.5,T\n", "345,h\n"],  # one width, but a dot
+        ["9007199254740993,H\n", "1234567890123456,T\n"],  # 16 digits: past 2**53
+    ],
+    ids=["growing-widths", "first-and-last-rows-alike", "dotted", "sixteen-digits"],
+)
+def test_a_block_outside_the_matrix_path_takes_the_digit_columns(tmp_path, monkeypatch, rows):
+    data = "".join(rows).encode()
+    results = _matrix_results(monkeypatch, data)
+    assert results and all(r is None for r in results)
+    _check(tmp_path, data)
+
+
+@pytest.mark.parametrize("data", [b",H\n,T\n", b"H\nT\n"], ids=["empty-times", "faces-only"])
+def test_rows_of_one_width_too_short_for_a_time_are_outside_the_subset(data):
+    assert report._subset_columns(data) is None
