@@ -23,8 +23,8 @@ Conventions, fixed once and used everywhere:
 flip-first rule. Its truth is four read-only numpy columns (flip times,
 flip heads, bet times, bet heads), checked by one vectorized pass. One
 ``np.searchsorted`` of the flip times in the sorted bet times finds the
-run of bets each flip governs; those runs both resolve the bets and build
-the trace's epoch table, which every analysis reads. The
+run of bets each flip governs. Those runs are the one stored map from a
+bet to its flip: they resolve the bets and build the epoch table. The
 :class:`Flip` and :class:`Bet` records of a trace are built from its
 columns on first access, unless the trace was built from records, which
 it keeps as given.
@@ -367,8 +367,8 @@ _FACES = (Face.TAILS, Face.HEADS)  # indexed by a heads flag
 class EpochGrouping:
     """Assignment of each bet to the flip (epoch) governing it.
 
-    Every :class:`GameTrace` builds its epoch columns once, at
-    construction, and this table from them on first request;
+    Every :class:`GameTrace` stores its occupied epochs' runs of bets, and
+    builds this table from them on first request, ``epoch_of_bet`` too;
     :func:`flipbet.probability.group_by_epoch` returns it.
 
     Attributes:
@@ -402,10 +402,11 @@ class GameTrace:
     readers and the simulator build traces from columns directly. Either
     way one private column constructor runs every check, finds each
     flip's run of bets (flip-first) with one ``np.searchsorted`` of the
-    flip times in the bet times, and from those runs resolves every bet
-    and builds the epoch table. ``flips``, ``bets`` and ``resolutions``
-    are tuples built from the columns on first access and then cached; a
-    trace built from records keeps the caller's records as given.
+    flip times in the bet times, and from those runs, the only stored
+    bet-to-flip map, resolves every bet and builds the epoch table.
+    ``flips``, ``bets`` and ``resolutions`` are tuples built from the
+    columns on first access and then cached; a trace built from records
+    keeps the caller's records as given.
 
     Invariants (enforced at construction):
 
@@ -456,8 +457,7 @@ class GameTrace:
         # the next flip's: one search of the flips in the bets.
         runs = np.searchsorted(bets.times, flips.times)
         sizes = np.diff(runs, append=len(bets.times))
-        epoch = np.repeat(np.arange(len(runs)), sizes)
-        won = bet_heads == flip_heads[epoch]
+        won = bet_heads == np.repeat(flip_heads, sizes)
         if resolutions is not None:
             given, derived = tuple(resolutions), tuple(won.tolist())
             if not all(isinstance(r, (bool, np.bool_)) for r in given):
@@ -478,7 +478,6 @@ class GameTrace:
             _flip_heads=flip_heads,
             _bet_times=_read_only(bets.times),
             _bet_heads=bet_heads,
-            _epoch=_read_only(epoch),
             _won=_read_only(won),
             _starts=_read_only(starts),
             _occupied=_read_only(occupied),
@@ -505,14 +504,15 @@ class GameTrace:
 
     @cached_property
     def _epochs(self) -> EpochGrouping:
+        sizes = np.diff(self._starts, append=len(self._bet_times))
         starts = self._starts.tolist()
-        runs = map(tuple, map(range, starts, starts[1:] + [len(self._epoch)]))
+        runs = map(tuple, map(range, starts, starts[1:] + [len(self._bet_times)]))
         faces = (_FACES[f] if f >= 0 else None for f in self._epoch_faces.tolist())
         occupied = self._occupied.tolist()
         # Read-only views: the table is cached on the trace and shared by every caller.
         return EpochGrouping(
             self.bets,
-            tuple(self._epoch.tolist()),
+            tuple(np.repeat(self._occupied, sizes).tolist()),
             MappingProxyType(dict(zip(occupied, runs))),
             MappingProxyType(dict(zip(occupied, faces))),
         )

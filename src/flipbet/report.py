@@ -15,6 +15,7 @@ serializing and re-parsing a report reproduces it exactly.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
@@ -136,7 +137,8 @@ class AnalysisReport:
 def _read_log(path: str | Path, record: type[Flip] | type[Bet]) -> tuple[np.ndarray, np.ndarray]:
     """Read a flip log (``record`` is Flip) or a bet log (Bet) into (times, heads) columns.
 
-    The file is read once, so a pipe works as a log. A log in the common
+    The file is read once, so a pipe works as a log. A leading UTF-8 byte
+    order mark is dropped; it is not part of line 1. A log in the common
     subset of the grammar is parsed without a per-row loop
     (:func:`_subset_columns`); any other log goes through the per-row
     reader, the one source of error messages, which names the face column
@@ -144,7 +146,7 @@ def _read_log(path: str | Path, record: type[Flip] | type[Bet]) -> tuple[np.ndar
     equal times keep file order; in a flip log, equal times are an error.
     """
     path = Path(path)
-    data = path.read_bytes()
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     columns = _subset_columns(data)
     if columns is None:
         columns = _read_rows(path, data, fields(record)[1].name)
@@ -181,17 +183,17 @@ def _subset_columns(data: bytes) -> tuple[np.ndarray, np.ndarray, range] | None:
     The log is read in blocks of 64 KiB cut at line ends (a longer row is a
     block of its own), so every temporary is bounded by the block, and the
     output columns are allocated once. In each block, numpy checks the
-    subset and parses the rows together. A block whose rows all have one
-    width and at most 15 digits, as sorted integer times mostly do, is a
-    byte matrix whose times come from one matrix-vector product
-    (:func:`_same_width_block`). In any other block, a time of at most 15
-    digits is read as an integer mantissa M, summed one digit column at a
-    time from the block's bytes less ``ord("0")``, with k digits after its
-    dot: M and 10**k are exact doubles, so ``M / 10**k`` is the correctly
-    rounded value that ``float()`` gives (Clinger's fast path). The longer
-    times of a block, of any length, are parsed together by numpy's
-    string-to-double, which rounds as ``float()`` does; one that overflows
-    to infinity leaves the log to the per-row reader.
+    subset and parses the rows one of three ways. Rows of one width and at
+    most 15 digits, as sorted integer times mostly are, are a byte matrix
+    whose times come from one matrix-vector product (:func:`_same_width_block`).
+    A block with a time of more than 15 digits is parsed whole by numpy's
+    string-to-double, which rounds as ``float()`` does; a time that
+    overflows to infinity leaves the log to the per-row reader. Any other
+    block is read by digit columns: a time is an integer mantissa M, summed
+    one digit column at a time from the block's bytes less ``ord("0")``,
+    with k digits after its dot; M and 10**k are exact doubles, so
+    ``M / 10**k`` is the correctly rounded value that ``float()`` gives
+    (Clinger's fast path).
     """
     end = data.find(b"\n")
     line_1 = data if end < 0 else data[:end].removesuffix(b"\r")
@@ -230,8 +232,8 @@ def _subset_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int | N
 
     A block whose rows all have one width is read as a byte matrix
     (:func:`_same_width_block`). Any other block, or one that fails that
-    path's checks, is read here, and this path alone decides whether the
-    block is outside the subset.
+    path's checks, is read here, by strtod or by digit columns, and this
+    path alone decides whether the block is outside the subset.
     """
     rows = _same_width_block(block, times, heads)
     if rows is not None:
@@ -265,31 +267,28 @@ def _subset_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int | N
         digits[dot_rows] -= 1
         skip[dot_rows] = dots
         fraction[dot_rows] = comma[dot_rows] - dots - 1
-    long = digits > _FAST_DIGITS
-    fraction[long] = 0  # a long row's mantissa is partial, and is overwritten below
-    # Column j holds each row's digit of weight 10**j: a position before the
-    # row's start is clamped to the LF before it, which counts 0.
-    value[ends] = 0
-    mantissa = np.zeros(rows, np.int64)
-    at = comma.copy()
-    for j in range(min(int(digits.max()), _FAST_DIGITS)):
-        at -= 1
-        if len(dots):  # an integer block skips this: 10-15% of its parse
-            at -= at == skip
-        np.maximum(at, before, out=at)
-        # The dtype keeps the product int64 where numpy 1.x would keep uint8.
-        mantissa += np.multiply(value[at], 10**j, dtype=np.int64)
     out = times[:rows]
-    np.divide(mantissa, _POWERS_OF_TEN[fraction], out=out)
-    if long.any():
-        # Blank every byte but the long rows' times, and parse those in one
-        # call to numpy's strtod, which rounds as ``float()`` does.
-        text = np.where(np.repeat(long, ends - before), a, np.uint8(ord(" ")))
+    if digits.max() > _FAST_DIGITS:
+        text = a.copy()  # blank the commas and faces; strtod rounds as ``float()`` does
         text[comma] = ord(" ")
         text[ends - 1] = ord(" ")
-        out[long] = np.fromstring(text.tobytes(), sep=" ")
+        out[:] = np.fromstring(text.tobytes(), sep=" ")
         if not np.isfinite(out).all():
             return None  # too many digits for a float: the per-row reader reports the row
+    else:
+        # Column j holds each row's digit of weight 10**j: a position before
+        # the row's start is clamped to the LF before it, which counts 0.
+        value[ends] = 0
+        mantissa = np.zeros(rows, np.int64)
+        at = comma.copy()
+        for j in range(int(digits.max())):
+            at -= 1
+            if len(dots):  # an integer block skips this: 10-15% of its parse
+                at -= at == skip
+            np.maximum(at, before, out=at)
+            # The dtype keeps the product int64 where numpy 1.x would keep uint8.
+            mantissa += np.multiply(value[at], 10**j, dtype=np.int64)
+        np.divide(mantissa, _POWERS_OF_TEN[fraction], out=out)
     heads[:rows] = face == ord("h")
     return rows
 

@@ -448,7 +448,7 @@ def _replacement_changes(
     flip_times, flip_heads = trace._flip_times, trace._flip_heads
     span = hi - lo
     first = _governing_flip(flip_times, lo)
-    own_face = flip_heads[trace._epoch[bets]]
+    own_face = trace._bet_heads[bets] == trace._won[bets]  # a win names the coin's face
     counts = np.where(flip_heads[first] == own_face, 0, trials)
     drawn = np.flatnonzero(first != _governing_flip(flip_times, np.maximum(hi, lo + span)))
     keys = keys[drawn].tolist()

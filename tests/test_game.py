@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,23 @@ class TestTraceObject:
         assert "bets" not in vars(trace)  # built on first access
         assert trace.bets == tuple(load_bets(bets))
         assert trace.flips == tuple(load_flips(flips))
+
+    def test_the_runs_are_the_one_stored_bet_to_flip_map(self):
+        # Per bet, building a trace allocates a heads flag, a won flag and
+        # their temporaries, not an 8-byte index of its flip.
+        bets = 200_000
+        rng = np.random.default_rng(25)
+        flips = _Columns(np.arange(0.0, 1e6, 50.0), rng.random(20_000) < 0.5)
+        bet_columns = _Columns(np.sort(rng.uniform(0.0, 1e6, bets)), rng.random(bets) < 0.5)
+        tracemalloc.start()
+        try:
+            trace = GameTrace._from_columns(GameConfig(horizon=1e6), flips, bet_columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * bets
+        governing = np.searchsorted(flips.times, bet_columns.times, "right") - 1
+        assert np.array_equal(trace._won, bet_columns.faces == flips.faces[governing])
 
     def test_record_and_column_built_traces_hash_equal(self, paradox_trace):
         trace = GameTrace._from_columns(

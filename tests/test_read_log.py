@@ -9,7 +9,9 @@ other log its per-row path; both are checked against the reference.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import json
 import math
 import os
 import threading
@@ -345,6 +347,49 @@ LOWERCASE_FACES = {
 def test_lowercase_faces_take_the_fast_path_and_match_the_reference(tmp_path, text):
     assert report._subset_columns(text.encode()) is not None
     _check_against_reference(tmp_path, text)
+
+
+# A UTF-8 byte order mark is not part of line 1: a log reads the same with
+# one as without, by the subset reader or the per-row reader.
+BOM_LOGS = {
+    "subset-header": ("time,prediction\n0,H\n2.5,T\n1,T\n", True),
+    "subset-no-header": ("1,H\n6,H\n7,T\n", True),
+    "per-row-header": ('time,prediction\n0,"H"\n2.5,T\n1,T\n', False),
+    "per-row-no-header": ('1,"H"\n6,H\n7,T\n', False),
+}
+
+
+@pytest.mark.parametrize("text,subset", BOM_LOGS.values(), ids=BOM_LOGS)
+def test_a_byte_order_mark_is_not_part_of_line_1(tmp_path, monkeypatch, text, subset):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert (report._subset_columns(text.encode()) is not None) == subset
+    if subset:
+        monkeypatch.setattr(report, "_read_rows", None)  # the subset reader alone reads it
+    for record in (Flip, Bet):
+        expected = report._read_log(plain, record)
+        columns = report._read_log(marked, record)
+        assert [c.tolist() for c in columns] == [c.tolist() for c in expected]
+
+
+def test_a_byte_order_mark_keeps_line_numbers(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"0,H\n1,X\n")
+    assert _outcome(load_bets, path) == (
+        "error",
+        f"{path}:2: unknown face token 'X' (expected 'H' or 'T')",
+        2,
+    )
+
+
+def test_the_cli_counts_the_first_bet_after_a_byte_order_mark(tmp_path, capsys):
+    flips, bets = tmp_path / "flips.csv", tmp_path / "bets.csv"
+    flips.write_bytes(codecs.BOM_UTF8 + b"0,H\n5,T\n")
+    bets.write_bytes(codecs.BOM_UTF8 + b"1,H\n6,H\n7,T\n")
+    assert main(["analyze", "--flips", str(flips), "--bets", str(bets), "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert (result["bet_count"], result["flip_count"]) == (3, 2)
 
 
 # Each log outside the subset, and each bad row in a small log, as either
