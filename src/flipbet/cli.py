@@ -11,6 +11,9 @@ a reader that closed stdout early (``flipbet analyze ... | head``), which
 prints nothing on stderr.
 All randomized commands take an explicit ``--seed`` and default to 0;
 nothing reads wall-clock entropy, so every run is reproducible.
+An argument ``@FILE`` stands for the arguments in FILE, one per line, so a
+flip schedule past the 128 KiB that Linux allows one argument can be given;
+a path that starts with ``@`` is written ``./@...``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flipbet",
         description="Timed coin-flip betting game: simulation and dependence-aware analysis.",
+        epilog="An argument @FILE stands for the arguments in FILE, one per line, "
+        "so a long --flip-times can be given from a file; write a path that "
+        "starts with @ as ./@...",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

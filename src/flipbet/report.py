@@ -600,9 +600,10 @@ def _trace_json(trace: GameTrace) -> Iterator[str]:
     ``[0, 2**53)``, none of them ``-0.0``. Every integer below 2**53 is a
     double, and ``repr`` writes it as the integer's own digits followed by
     ``.0`` (it takes an exponent only from 1e16), so such a block is
-    written from its digits (:func:`_integral_digits`). ``-0.0`` passes a
-    trace's ``0.0 <= t`` check, and ``repr`` writes its sign. Any other
-    block keeps ``float.__repr__``: the block is the unit of choice.
+    written from its digits as byte matrices (:func:`_integral_rows`).
+    ``-0.0`` passes a trace's ``0.0 <= t`` check, and ``repr`` writes its
+    sign. Any other block keeps ``float.__repr__``: the block is the unit
+    of choice.
 
     Times are written from the float columns, so a trace built from records
     with int times writes them as floats, where :func:`trace_to_dict` keeps
@@ -631,57 +632,76 @@ def _json_rows(face_name: str, times: np.ndarray, heads: np.ndarray) -> Iterator
     """A trace document's list of ``{"time": ..., face_name: ...}`` objects,
     one piece per block of rows.
 
-    A block's parts alternate time and separator: ``between[f]`` closes a
-    row of face ``f`` and opens the next, so a block's last row opens the
-    next block's first. The ``.0`` of a block of integral times goes at
-    the front of its separators, not onto each time.
+    Each row is written whole, from its opening to the ``,\n`` after its
+    closing brace; the list's last row ends in ``\n  ]`` instead. A block
+    of integral times is written by :func:`_integral_rows`, any other by
+    ``float.__repr__``.
     """
     if not len(times):
         yield "[]"
         return
     opening = '    {\n      "time": '
     closings = [f',\n      "{face_name}": "{face.token}"\n    }}' for face in _FACES]
-    yield "[\n" + opening
+    # By heads flag; a gather of an object array costs less than a map.
+    between = np.array([closing + ",\n" + opening for closing in closings], object)
+    yield "[\n"
     for start in range(0, len(times), _WRITE_ROWS):
         block = times[start : start + _WRITE_ROWS]
-        written, suffix = _integral_digits(block), ".0"
-        if written is None:
-            written, suffix = map(float.__repr__, block.tolist()), ""
-        # By heads flag; a gather of an object array costs less than a map.
-        between = np.array([suffix + closing + ",\n" + opening for closing in closings], object)
-        parts = [""] * (2 * len(block))
-        parts[::2] = written
-        parts[1::2] = between[heads[start : start + _WRITE_ROWS].view(np.uint8)].tolist()
-        if start + len(block) == len(times):
-            parts[-1] = suffix + closings[int(heads[-1])] + "\n  ]"
-        yield "".join(parts)
+        faces = heads[start : start + _WRITE_ROWS].view(np.uint8)
+        end = "\n  ]" if start + len(block) == len(times) else ",\n"
+        text = _integral_rows(block, faces, opening, closings, end)
+        if text is None:
+            parts = [opening] * (2 * len(block) + 1)
+            parts[1::2] = map(float.__repr__, block.tolist())
+            parts[2::2] = between[faces].tolist()
+            parts[-1] = closings[faces[-1]] + end
+            text = "".join(parts)
+        yield text
 
 
-def _integral_digits(times: np.ndarray) -> list[str] | None:
-    """The decimal digits of each time, if every time is an integer in
-    ``[0, 2**53)`` and none is ``-0.0`` (see :func:`_trace_json`); else None.
+def _integral_rows(
+    times: np.ndarray, faces: np.ndarray, opening: str, closings: list[str], end: str
+) -> str | None:
+    """The rows of a block, if every time is an integer in ``[0, 2**53)``
+    and none is ``-0.0`` (see :func:`_trace_json`); else None.
 
-    The digits are peeled one column at a time into a byte matrix with a
-    line end closing each row. A row's positions above its first digit
-    stay NUL, and the NULs are dropped before the text is split.
+    Times never decrease, so neither does the number of their digits, and
+    one search cuts the block into at most 16 runs of rows of one width.
+    Each run is one ``(rows, row width)`` byte matrix in the block's
+    buffer. Every row is gathered from the template of its face, and the
+    run's digits, peeled one column at a time into a ``(rows, width)``
+    array, are copied over the template's digit field in one assignment.
+    The block's last row ends in ``end``.
     """
     if not times.max() < 2.0**53 or np.signbit(times).any():
         return None
     value = times.astype(np.int64)
     if not (value == times).all():
         return None
-    width = len(str(value.max()))
-    matrix = np.empty((len(value), width + 1), np.uint8)
-    matrix[:, width] = ord("\n")
-    zero = np.uint8(ord("0"))
-    for j in reversed(range(width)):
-        shown = value != 0  # else this position is above the first digit
-        quotient = value // 10
-        np.subtract(value, 10 * quotient, out=matrix[:, j], casting="unsafe")
-        matrix[:, j] += zero if j == width - 1 else shown.view(np.uint8) * zero
-        value = quotient
-    packed = matrix[matrix != 0]
-    return packed[:-1].tobytes().decode().split("\n")
+    bounds = [0, *np.searchsorted(times, _POWERS_OF_TEN[1:]).tolist(), len(times)]
+    runs = [(width, a, b) for width, (a, b) in enumerate(itertools.pairwise(bounds), 1) if a < b]
+    head, tails = opening.encode(), [f".0{closing},\n".encode() for closing in closings]
+    sizes = [(b - a) * (len(head) + width + len(tails[0])) for width, a, b in runs]
+    text = np.empty(sum(sizes) + len(end) - 2, np.uint8)  # end replaces the last ",\n"
+    offset = 0
+    for (width, a, b), size in zip(runs, sizes):
+        templates = np.frombuffer(b"".join(head + b"0" * width + tail for tail in tails), np.uint8)
+        matrix = text[offset : offset + size].reshape(b - a, -1)
+        # "clip" writes straight into out; a face is 0 or 1.
+        np.take(templates.reshape(2, -1), faces[a:b], axis=0, out=matrix, mode="clip")
+        digits = np.empty((b - a, width), np.uint8)
+        run = value[a:b].astype(np.uint32 if width <= 9 else np.uint64)  # fewer bits divide faster
+        for j in reversed(range(width)):
+            quotient = run // 10
+            np.subtract(run, 10 * quotient, out=digits[:, j], casting="unsafe")
+            run = quotient
+        digits += ord("0")
+        field = np.dtype({"names": ["digits"], "formats": [f"V{width}"], "offsets": [len(head)],
+                          "itemsize": matrix.shape[1]})
+        matrix.view(field)["digits"] = digits.view(f"V{width}")
+        offset += size
+    text[-len(end) :] = np.frombuffer(end.encode(), np.uint8)
+    return str(text, "ascii")  # decoded from the buffer, with no bytes copy
 
 
 def _json_resolutions(won: np.ndarray) -> Iterator[str]:
@@ -693,8 +713,8 @@ def _json_resolutions(won: np.ndarray) -> Iterator[str]:
         return
     yield "[\n"
     for start in range(0, len(won), _WRITE_ROWS):
-        rows = _RESOLUTIONS[won[start : start + _WRITE_ROWS].view(np.uint8)].view(np.uint8)
-        text = rows[rows != 0].tobytes().decode()
+        rows = _RESOLUTIONS[won[start : start + _WRITE_ROWS].view(np.uint8)]
+        text = rows.tobytes().replace(b"\0", b"").decode()
         yield text if start + _WRITE_ROWS < len(won) else text[:-2] + "\n  ]"
 
 

@@ -189,6 +189,33 @@ class TestSimulate:
             "e70ccefdb7af2fba6d862f1134be097b56fd7bb0970c1645091170801a7100f5"
         )
 
+    # Length and sha256 of the trace file, pinned from the writer that made
+    # one Python string per row.
+    BENCH_SCALE_TRACES = {
+        21: (14856975, "4d9e75f860d463ff01a221052b5cbb87114172a2cc91de09f100b50884928fc1"),
+        22: (14856933, "07537ce27e5bc83f103d92daefb5ad7c1014d13a63a305fd7cb00fab47bccf4d"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(BENCH_SCALE_TRACES))
+    def test_out_file_bytes_are_pinned_at_benchmark_scale(self, tmp_path, seed):
+        # 10^4 flips at distinct integer times below 10^6 and 2x10^5 sorted
+        # integer bets with random faces: times of 1 to 7 digits, so the
+        # blocks hold runs of several widths and the bets repeat times.
+        rng = np.random.default_rng(seed)
+        horizon = 1_000_000
+        later = np.sort(rng.choice(horizon - 1, 9_999, replace=False)) + 1
+        flip_times = np.concatenate(([0], later))
+        bet_times = np.sort(rng.integers(0, horizon + 1, 200_000))
+        faces = np.where(rng.random(200_000) < 0.5, "H", "T")
+        bets, out = tmp_path / "bets.csv", tmp_path / "trace.json"
+        bets.write_text("".join(map("{},{}\n".format, bet_times.tolist(), faces.tolist())))
+        argv = ["simulate", "--horizon", str(horizon), "--flip-times",
+                ",".join(map(str, flip_times.tolist())), "--bias", "0.6", "--seed", str(seed),
+                "--bets", str(bets), "--out", str(out)]
+        assert main(argv) == 0
+        data = out.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == self.BENCH_SCALE_TRACES[seed]
+
     def test_stdout_equals_the_out_file(self, tmp_path, capsys):
         _, bet_text = _seeded_logs(14, 30, 500, False)
         bets, out = tmp_path / "bets.csv", tmp_path / "trace.json"
@@ -201,6 +228,39 @@ class TestSimulate:
         assert main([*argv, "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == printed.encode()
+
+    def test_arguments_from_a_file_write_the_bytes_of_the_same_arguments_inline(self, tmp_path):
+        # 25,000 flips make a --flip-times of 163,888 bytes, past the 128 KiB
+        # that Linux allows one argument of a command line.
+        _, bet_text = _seeded_logs(16, 25_000, 3000, False)
+        bets, args = tmp_path / "bets.csv", tmp_path / "args"
+        bets.write_text(bet_text)
+        flip_times = ",".join(str(10 * k) for k in range(25_000))
+        assert len(flip_times) > 128 << 10
+        args.write_text(f"--horizon\n250000\n--flip-times\n{flip_times}\n--seed\n16\n")
+        inline, from_file = tmp_path / "inline.json", tmp_path / "from_file.json"
+        argv = ["--horizon", "250000", "--flip-times", flip_times, "--seed", "16"]
+        assert main(["simulate", *argv, "--bets", str(bets), "--out", str(inline)]) == 0
+        assert main(["simulate", f"@{args}", "--bets", str(bets), "--out", str(from_file)]) == 0
+        assert from_file.read_bytes() == inline.read_bytes()
+
+    def test_a_path_that_starts_with_an_at_sign_is_given_as_dot_slash(
+        self, paradox_files, tmp_path, monkeypatch, capsys
+    ):
+        _, bets = paradox_files
+        monkeypatch.chdir(tmp_path)
+        Path("@bets.csv").write_bytes(bets.read_bytes())
+        argv = ["simulate", "--horizon", "1", "--flip-times", "0", "--seed", "7", "--bets"]
+        assert main([*argv, str(bets)]) == 0
+        expected = capsys.readouterr().out
+        assert main([*argv, "./@bets.csv"]) == 0
+        assert capsys.readouterr().out == expected
+        # Unescaped, the path names a file of arguments: its first row is
+        # taken as the --bets path and its second as a stray argument.
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "@bets.csv"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: 0.7,H\n")
 
     def test_missing_horizon_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

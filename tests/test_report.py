@@ -472,6 +472,26 @@ def test_written_blocks_join_to_the_indented_dump(data, block):
         assert "".join(_trace_json(trace)) == _indented_dump(trace)
 
 
+# 0 and 9, 10 and 99, ..., 10**15 and 2**53 - 1: two integral times of each
+# digit count from 1 to 16, the last below 2**53.
+EVERY_WIDTH = [0.0, *(float(10**k + d) for k in range(1, 16) for d in (-1, 0)), float(2**53 - 1)]
+
+
+@pytest.mark.parametrize("block", [4096, 3])
+def test_integral_times_of_every_width_in_one_block(block):
+    # The flips take the faces in turn, so each width's pair shows both; each
+    # bet time holds one bet on each face.
+    flips = [Flip(t, (H, T)[i % 2]) for i, t in enumerate(EVERY_WIDTH)]
+    bets = [Bet(t, face) for t in EVERY_WIDTH for face in (H, T)]
+    trace = make_trace(GameConfig(horizon=EVERY_WIDTH[-1]), flips, bets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report_module, "_WRITE_ROWS", block)
+        text = "".join(_trace_json(trace))
+    assert text == _indented_dump(trace)
+    assert '"time": 9007199254740991.0,\n      "outcome": "T"\n    }\n  ],' in text
+    assert '"time": 1000000000000000.0,\n      "prediction": "T"' in text
+
+
 @pytest.mark.parametrize("integral", [True, False])
 def test_writing_a_trace_peaks_below_a_bound_independent_of_its_rows(tmp_path, integral):
     # A writer that builds the whole 14.9 MB document peaks at 33.7 MiB on
