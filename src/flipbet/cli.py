@@ -19,11 +19,13 @@ a path that starts with ``@`` is written ``./@...``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .errors import FlipBetError
 from .game import Bet, Face, Flip, GameConfig, GameTrace, _Columns, _columns, _simulate, make_trace
@@ -31,11 +33,11 @@ from .report import (
     AnalysisOptions,
     _randomization_dict,
     _read_log,
+    _report_json,
     _report_text,
     _trace_json,
     analyze,
     report_to_dict,
-    report_to_json,
     trace_to_dict,
 )
 from .significance import losing_probability, random_reproduction_pvalue, randomization_test
@@ -122,14 +124,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.bets is not None:
         bets = _Columns(*_read_log(args.bets, Bet))
     trace = _simulate(config, _columns(args.flip_times), bets)
-    pieces = _trace_json(trace)
-    if args.out is not None:
-        with args.out.open("w", encoding="utf-8") as out:
-            out.writelines(pieces)
-            out.write("\n")
-    else:
-        sys.stdout.writelines(pieces)
-        sys.stdout.write("\n")
+    _write(args.out, _trace_json(trace), "\n")
     return 0
 
 
@@ -146,11 +141,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         config, _Columns(flip_times, flip_heads), _Columns(bet_times, bet_heads)
     )
     report = analyze(trace, options)
-    if args.format == "json":
-        print(report_to_json(report))
-    else:
-        sys.stdout.writelines(_report_text(report))
+    document, end = (_report_json, "\n") if args.format == "json" else (_report_text, "")
+    _write(None, document(report), end)
     return 0
+
+
+def _write(out: Path | None, pieces: Iterable[str], end: str) -> None:
+    """Write a document's pieces, then ``end``, to the file ``out``, or to stdout if it is None."""
+    target = contextlib.nullcontext(sys.stdout) if out is None else out.open("w", encoding="utf-8")
+    with target as handle:
+        handle.writelines(pieces)
+        handle.write(end)
 
 
 def cmd_significance(args: argparse.Namespace) -> int:
@@ -187,16 +188,9 @@ def cmd_paradox_demo(args: argparse.Namespace) -> int:
     report = analyze(trace)
     rand = randomization_test(trace, 1, interval=(0.3, 0.7), trials=1000, seed=0)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "game": trace_to_dict(trace),
-                    "report": report_to_dict(report),
-                    "second_bet_randomization": _randomization_dict(rand),
-                },
-                indent=2,
-            )
-        )
+        doc = {"game": trace_to_dict(trace), "report": report_to_dict(report),
+               "second_bet_randomization": _randomization_dict(rand)}
+        _write(None, [json.dumps(doc, indent=2)], "\n")
         return 0
 
     print(f"timed coin-flip betting game, horizon {trace.config.horizon:g}, fair coin")

@@ -22,8 +22,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -503,33 +504,55 @@ def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
         raise ValidationError(f"malformed report document: {exc}") from exc
 
 
-def report_to_json(report: AnalysisReport) -> str:
-    """``json.dumps(report_to_dict(report), indent=2)``, as ``flipbet analyze`` prints it.
+_WRITE_ROWS = 4096  # items per piece of a written list
 
-    Written from a template: each distinct randomization result is written
-    once, by the C encoder, and the list is joined from those texts. No dict
-    is built per bet, and the pure-Python encoder of ``indent`` never runs.
-    """
+
+def _json_list(count: int, block: Callable[[int, int], str]) -> Iterator[str]:
+    """A list of ``count`` items, one level deep in an ``indent=2`` document, in
+    pieces: ``[]``, or ``[\n`` and one piece per ``_WRITE_ROWS`` items, in order,
+    each ``block(start, stop)``: items ``start`` to ``stop``, each followed by
+    ``,\n``. The last piece's final ``,\n`` becomes ``\n  ]``."""
+    yield "[\n" if count else "[]"
+    for start in range(0, count, _WRITE_ROWS):
+        text = block(start, min(start + _WRITE_ROWS, count))
+        yield text if start + _WRITE_ROWS < count else text[:-2] + "\n  ]"
+
+
+def report_to_json(report: AnalysisReport) -> str:
+    """``json.dumps(report_to_dict(report), indent=2)``: the join of :func:`_report_json`."""
+    return "".join(_report_json(report))
+
+
+def _report_json(report: AnalysisReport) -> Iterator[str]:
+    """:func:`report_to_json` in pieces, as ``flipbet analyze`` writes it: each
+    distinct randomization entry is written once by the C encoder, and the list
+    comes one piece per ``_WRITE_ROWS`` entries, so the whole document, a dict
+    per bet and the pure-Python encoder of ``indent`` are never built or run."""
     names = _COUNT_FIELDS + _PROBABILITY_FIELDS
     values = _scalars([getattr(report, name) for name in names])
     head = "".join(f'  "{name}": {value},\n' for name, value in zip(names, values))
-    results = report.randomization
-    listed = "null" if results is None else _json_list(_per_result(_randomization_json, results))
-    return f'{{\n{head}  "randomization": {listed}\n}}'
+    yield f'{{\n{head}  "randomization": '
+    if (results := report.randomization) is None:
+        yield "null"
+    else:
+        texts = _result_texts(results, _randomization_json)
+        yield from _json_list(len(results), lambda start, stop: "".join(next(texts)))
+    yield "\n}"
 
 
 def _randomization_json(r: RandomizationResult) -> str:
+    """A randomization result's entry in the report's list, with the ``,\n`` after it."""
     trials, changed, fraction = _scalars([r.trials, r.changed, _sig12(r.change_fraction)])
     return (
         f'    {{\n      "trials": {trials},\n      "changed": {changed},\n'
-        f'      "change_fraction": {fraction}\n    }}'
+        f'      "change_fraction": {fraction}\n    }},\n'
     )
 
 
 def _report_text(report: AnalysisReport) -> Iterator[str]:
     """The text of ``flipbet analyze --format text`` in pieces of whole lines:
-    the bet lines come 4096 to a piece, so the whole text is never built
-    and a writer makes few calls."""
+    the bet lines come ``_WRITE_ROWS`` to a piece, so the whole text is
+    never built and a writer makes few calls."""
     yield f"bets: {report.bet_count} (wins: {report.wins})\n"
     yield f"flips: {report.flip_count}\n"
     yield f"effective events: {report.effective_events} (effective wins: {report.effective_wins})\n"
@@ -538,10 +561,9 @@ def _report_text(report: AnalysisReport) -> Iterator[str]:
     yield f"naive p-value: {report.naive_pvalue:.12g}\n"
     yield f"corrected p-value: {report.corrected_pvalue:.12g}\n"
     if report.randomization is not None:
-        texts = _per_result(_randomization_text, report.randomization)
-        lines = (f"bet {i}: {text}\n" for i, text in enumerate(texts))
-        while piece := "".join(itertools.islice(lines, 4096)):
-            yield piece
+        blocks = _result_texts(report.randomization, _randomization_text)
+        for start, texts in zip(itertools.count(0, _WRITE_ROWS), blocks):
+            yield "".join([f"bet {i}: {text}\n" for i, text in enumerate(texts, start)])
 
 
 def _randomization_text(r: RandomizationResult) -> str:
@@ -551,13 +573,23 @@ def _randomization_text(r: RandomizationResult) -> str:
     )
 
 
-def _per_result(write: Callable[[RandomizationResult], str], results: tuple) -> Iterator[str]:
-    """``map(write, results)``, with ``write`` called once per result object:
-    results are frozen, and :func:`~flipbet.significance._randomization_tests`
-    shares one per distinct count, so keying by ``id`` skips the dataclass hash."""
-    shared = {id(r): r for r in results}
-    written = {key: write(r) for key, r in shared.items()}
-    return map(written.__getitem__, map(id, results))
+def _result_texts(results: tuple, write: Callable[[RandomizationResult], str]) -> Iterator[list]:
+    """``write`` of each result, one list per ``_WRITE_ROWS`` results, called once
+    per distinct ``(trials, changed)``, shared or not. ``np.unique`` keys each
+    block's int64 pairs (counts are at most ``_MAX_TRIALS``) as 16-byte items,
+    and texts are kept across blocks, so memory is bounded by the block."""
+    written: dict[tuple[int, int], str] = {}
+    for start in range(0, len(results), _WRITE_ROWS):
+        block = results[start : start + _WRITE_ROWS]
+        columns = [map(attrgetter(name), block) for name in ("trials", "changed")]
+        pairs = np.stack([np.fromiter(column, np.int64, len(block)) for column in columns], axis=1)
+        items = pairs.view("V16").ravel()  # each pair as one 16-byte item
+        _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
+        keys = list(map(tuple, pairs[first].tolist()))
+        for key, i in zip(keys, first.tolist()):
+            if key not in written:
+                written[key] = write(block[i])
+        yield np.array([written[key] for key in keys], object)[inverse].tolist()
 
 
 def report_from_json(text: str) -> AnalysisReport:
@@ -583,8 +615,7 @@ def trace_to_dict(trace: GameTrace) -> dict[str, Any]:
     }
 
 
-_WRITE_ROWS = 4096  # rows per piece of a trace document
-_RESOLUTIONS = np.array([b"    false,\n", b"    true,\n"], dtype="S11")  # indexed by won
+_RESOLUTIONS = np.array(["    false,\n", "    true,\n"], object)  # indexed by won
 
 
 def _trace_json(trace: GameTrace) -> Iterator[str]:
@@ -619,7 +650,8 @@ def _trace_json(trace: GameTrace) -> Iterator[str]:
     yield ',\n  "bets": '
     yield from _json_rows("prediction", trace._bet_times, trace._bet_heads)
     yield ',\n  "resolutions": '
-    yield from _json_resolutions(trace._won)
+    won = trace._won.view(np.uint8)
+    yield from _json_list(len(won), lambda a, b: "".join(_RESOLUTIONS[won[a:b]].tolist()))
     yield "\n}"
 
 
@@ -630,37 +662,33 @@ def _scalars(values: list) -> list[str]:
 
 def _json_rows(face_name: str, times: np.ndarray, heads: np.ndarray) -> Iterator[str]:
     """A trace document's list of ``{"time": ..., face_name: ...}`` objects,
-    one piece per block of rows.
+    framed by :func:`_json_list`.
 
     Each row is written whole, from its opening to the ``,\n`` after its
-    closing brace; the list's last row ends in ``\n  ]`` instead. A block
-    of integral times is written by :func:`_integral_rows`, any other by
-    ``float.__repr__``.
+    closing brace. A block of integral times is written by
+    :func:`_integral_rows`, any other by ``float.__repr__``.
     """
-    if not len(times):
-        yield "[]"
-        return
     opening = '    {\n      "time": '
     closings = [f',\n      "{face_name}": "{face.token}"\n    }}' for face in _FACES]
     # By heads flag; a gather of an object array costs less than a map.
     between = np.array([closing + ",\n" + opening for closing in closings], object)
-    yield "[\n"
-    for start in range(0, len(times), _WRITE_ROWS):
-        block = times[start : start + _WRITE_ROWS]
-        faces = heads[start : start + _WRITE_ROWS].view(np.uint8)
-        end = "\n  ]" if start + len(block) == len(times) else ",\n"
-        text = _integral_rows(block, faces, opening, closings, end)
+
+    def rows(start: int, stop: int) -> str:
+        block, faces = times[start:stop], heads[start:stop].view(np.uint8)
+        text = _integral_rows(block, faces, opening, closings)
         if text is None:
             parts = [opening] * (2 * len(block) + 1)
             parts[1::2] = map(float.__repr__, block.tolist())
             parts[2::2] = between[faces].tolist()
-            parts[-1] = closings[faces[-1]] + end
+            parts[-1] = closings[faces[-1]] + ",\n"
             text = "".join(parts)
-        yield text
+        return text
+
+    return _json_list(len(times), rows)
 
 
 def _integral_rows(
-    times: np.ndarray, faces: np.ndarray, opening: str, closings: list[str], end: str
+    times: np.ndarray, faces: np.ndarray, opening: str, closings: list[str]
 ) -> str | None:
     """The rows of a block, if every time is an integer in ``[0, 2**53)``
     and none is ``-0.0`` (see :func:`_trace_json`); else None.
@@ -671,7 +699,6 @@ def _integral_rows(
     buffer. Every row is gathered from the template of its face, and the
     run's digits, peeled one column at a time into a ``(rows, width)``
     array, are copied over the template's digit field in one assignment.
-    The block's last row ends in ``end``.
     """
     if not times.max() < 2.0**53 or np.signbit(times).any():
         return None
@@ -682,7 +709,7 @@ def _integral_rows(
     runs = [(width, a, b) for width, (a, b) in enumerate(itertools.pairwise(bounds), 1) if a < b]
     head, tails = opening.encode(), [f".0{closing},\n".encode() for closing in closings]
     sizes = [(b - a) * (len(head) + width + len(tails[0])) for width, a, b in runs]
-    text = np.empty(sum(sizes) + len(end) - 2, np.uint8)  # end replaces the last ",\n"
+    text = np.empty(sum(sizes), np.uint8)
     offset = 0
     for (width, a, b), size in zip(runs, sizes):
         templates = np.frombuffer(b"".join(head + b"0" * width + tail for tail in tails), np.uint8)
@@ -700,28 +727,7 @@ def _integral_rows(
                           "itemsize": matrix.shape[1]})
         matrix.view(field)["digits"] = digits.view(f"V{width}")
         offset += size
-    text[-len(end) :] = np.frombuffer(end.encode(), np.uint8)
     return str(text, "ascii")  # decoded from the buffer, with no bytes copy
-
-
-def _json_resolutions(won: np.ndarray) -> Iterator[str]:
-    """A trace document's list of resolutions, one piece per block of rows:
-    each row is one of two byte texts, and the NUL that pads ``true`` to the
-    width of ``false`` is dropped."""
-    if not len(won):
-        yield "[]"
-        return
-    yield "[\n"
-    for start in range(0, len(won), _WRITE_ROWS):
-        rows = _RESOLUTIONS[won[start : start + _WRITE_ROWS].view(np.uint8)]
-        text = rows.tobytes().replace(b"\0", b"").decode()
-        yield text if start + _WRITE_ROWS < len(won) else text[:-2] + "\n  ]"
-
-
-def _json_list(items: Iterable[str]) -> str:
-    """A list of written items, one level deep in an ``indent=2`` document."""
-    body = ",\n".join(items)
-    return f"[\n{body}\n  ]" if body else "[]"
 
 
 def trace_from_dict(data: dict[str, Any]) -> GameTrace:

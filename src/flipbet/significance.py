@@ -95,8 +95,8 @@ _NEGLIGIBLE = 2.0**-60
 # that size, each continuing its stream; no count depends on it.
 _BATCH_BYTES = 8 << 20
 
-# The largest trial count of a randomization test: the largest count an
-# int64 holds, so every count fits the columns that hold them.
+# The largest trial count of a randomization test or result: the largest
+# count an int64 holds, so every count fits the columns that hold or key them.
 _MAX_TRIALS = 2**63 - 1
 
 
@@ -132,15 +132,15 @@ class RandomizationResult:
     """Outcome counts of a bet-time randomization test.
 
     Raises:
-        DomainError: If ``trials`` is not an integer >= 1 or ``changed``
-            not an integer in ``[0, trials]`` (a bool is neither).
+        DomainError: If ``trials`` is not an integer in ``[1, 2**63 - 1]`` or
+            ``changed`` one in ``[0, trials]`` (a bool is neither).
     """
 
     trials: int
     changed: int
 
     def __post_init__(self) -> None:
-        trials = _integer(self.trials, "trials", 1)
+        trials = _integer(self.trials, "trials", 1, _MAX_TRIALS)
         object.__setattr__(self, "changed", _integer(self.changed, "changed", 0, trials))
         object.__setattr__(self, "trials", trials)
 
@@ -420,7 +420,7 @@ def _randomization_tests(trace: GameTrace, trials: int, seed: int) -> tuple[Rand
     """``randomization_test(trace, i, trials=trials, seed=derive_seed(seed, i))``
     for every bet i, computed for all bets at once; ``trials`` and ``seed``
     are valid, as :class:`~flipbet.report.AnalysisOptions` checks them.
-    Every distinct count is one shared result: results are frozen.
+    Every distinct count is one shared result, for memory only: writers key by value.
     """
     hi = trace._bet_times
     bets = np.arange(len(hi))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from flipbet import (
+    AnalysisReport,
     Bet,
     Face,
     Flip,
@@ -102,3 +103,22 @@ def reference_randomization(trace: GameTrace, trials: int, seed: int) -> tuple:
         results.append(RandomizationResult(trials=trials, changed=changed))
         lo = bet.time
     return tuple(results)
+
+
+def text_report(report: AnalysisReport) -> str:
+    """The text format, written line by line."""
+    lines = [
+        f"bets: {report.bet_count} (wins: {report.wins})",
+        f"flips: {report.flip_count}",
+        f"effective events: {report.effective_events} (effective wins: {report.effective_wins})",
+        f"naive compound probability: {report.naive_compound:.12g}",
+        f"true compound probability: {report.true_compound:.12g}",
+        f"naive p-value: {report.naive_pvalue:.12g}",
+        f"corrected p-value: {report.corrected_pvalue:.12g}",
+    ]
+    for i, r in enumerate(report.randomization):
+        lines.append(
+            f"bet {i}: outcome changed in {r.changed} of {r.trials} "
+            f"re-placements (fraction {r.change_fraction:.12g})"
+        )
+    return "".join(line + "\n" for line in lines)

@@ -27,7 +27,7 @@ from flipbet import (
 )
 from flipbet import cli
 from flipbet.cli import main
-from conftest import reference_randomization
+from conftest import reference_randomization, text_report
 
 PARADOX_FLIPS = "0.0,H\n"
 PARADOX_BETS = "0.3,H\n0.7,H\n"
@@ -466,25 +466,6 @@ def _per_bet_report(flips: Path, bets: Path, trials: int, seed: int) -> Analysis
     return dataclasses.replace(analyze(trace), randomization=results)
 
 
-def _text_report(report: AnalysisReport) -> str:
-    """The text format, written line by line."""
-    lines = [
-        f"bets: {report.bet_count} (wins: {report.wins})",
-        f"flips: {report.flip_count}",
-        f"effective events: {report.effective_events} (effective wins: {report.effective_wins})",
-        f"naive compound probability: {report.naive_compound:.12g}",
-        f"true compound probability: {report.true_compound:.12g}",
-        f"naive p-value: {report.naive_pvalue:.12g}",
-        f"corrected p-value: {report.corrected_pvalue:.12g}",
-    ]
-    for i, r in enumerate(report.randomization):
-        lines.append(
-            f"bet {i}: outcome changed in {r.changed} of {r.trials} "
-            f"re-placements (fraction {r.change_fraction:.12g})"
-        )
-    return "".join(line + "\n" for line in lines)
-
-
 class TestRandomizedReportBytes:
     """``analyze --randomize`` tests every bet at once; its bytes must equal
     those of the reference's tests, encoded by json.dumps."""
@@ -503,7 +484,7 @@ class TestRandomizedReportBytes:
         assert 0 < sum(r.changed > 0 for r in report.randomization) < 20_000
         expected = json.dumps(report_to_dict(report), indent=2) + "\n"
         if fmt == "text":
-            expected = _text_report(report)
+            expected = text_report(report)
         argv = ["analyze", "--flips", str(flips), "--bets", str(bets),
                 "--randomize", str(self.TRIALS), "--seed", str(self.SEED), "--format", fmt]
         assert main(argv) == 0

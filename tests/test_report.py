@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 from itertools import product
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 
 from flipbet import (
     AnalysisOptions,
+    AnalysisReport,
     Bet,
     CsvFormatError,
     Face,
     Flip,
     GameConfig,
+    RandomizationResult,
     ValidationError,
     analyze,
     load_bets,
@@ -30,10 +33,10 @@ from flipbet import (
     trace_from_dict,
     trace_to_dict,
 )
-from conftest import faces, game_inputs, traces
+from conftest import faces, game_inputs, text_report, traces
 from flipbet import report as report_module
 from flipbet.game import GameTrace, _Columns, simulate_game
-from flipbet.report import _report_text, _trace_json
+from flipbet.report import _report_json, _report_text, _trace_json
 
 H, T = Face.HEADS, Face.TAILS
 
@@ -247,9 +250,10 @@ class TestRoundTrips:
         report = analyze(paradox_trace, AnalysisOptions(randomization_trials=100, seed=2))
         assert report_from_json(report_to_json(report)) == report
 
-    def test_read_back_results_are_unshared_and_write_the_same_bytes(self):
+    def test_read_back_results_are_unshared_and_write_the_same_bytes(self, monkeypatch):
         # analyze shares one frozen result per distinct count; a report read
-        # back holds one object per bet, and both write the same bytes.
+        # back holds one object per bet, and both write the same bytes. The
+        # writer keys results by value, so either writes each count once.
         flips = [Flip(0.0, H), Flip(1.0, T), Flip(2.0, H), Flip(3.0, T)]
         bets = [Bet(t, H) for t in (0.5, 0.6, 1.5, 1.6, 2.5, 3.5, 3.6)]
         trace = make_trace(GameConfig(horizon=4.0), flips, bets)
@@ -260,6 +264,11 @@ class TestRoundTrips:
         assert len(set(map(id, back.randomization))) == 7
         assert report_to_json(back) == report_to_json(report)
         assert "".join(_report_text(back)) == "".join(_report_text(report))
+        written = []
+        write = report_module._randomization_json
+        monkeypatch.setattr(report_module, "_randomization_json", lambda r: written.append(r) or write(r))
+        report_to_json(back)
+        assert len(written) == 4 and set(written) == set(back.randomization)
 
     def test_trace_dict_round_trip(self, paradox_trace):
         assert trace_from_dict(trace_to_dict(paradox_trace)) == paradox_trace
@@ -323,6 +332,7 @@ class TestRoundTrips:
             ("corrected_pvalue", False),
             ("randomization", [{"trials": True, "changed": True}]),
             ("randomization", [{"trials": 10, "changed": 2.5}]),
+            ("randomization", [{"trials": 10**30, "changed": 5}]),  # past int64
             ("bet_count", -3),
             ("naive_pvalue", 7.5),
         ],
@@ -332,6 +342,8 @@ class TestRoundTrips:
         doc[field] = value
         with pytest.raises(ValidationError, match="malformed report document: "):
             report_from_dict(doc)
+        with pytest.raises(ValidationError, match="malformed report document: "):
+            report_from_json(json.dumps(doc))
 
     def test_trace_dict_keeps_integer_times_as_given(self):
         # Pinned from the per-record implementation: records given with int
@@ -517,3 +529,50 @@ def test_writing_a_trace_peaks_below_a_bound_independent_of_its_rows(tmp_path, i
         tracemalloc.stop()
     assert peak < 2 << 20
     assert path.stat().st_size > 14_000_000
+
+
+@pytest.mark.parametrize("bets", [0, 1, 2, 3, 4, 6, 7])
+def test_randomization_list_across_piece_boundaries(bets):
+    # Pieces of 3 entries: the list ends inside, at and just past a piece.
+    # The read-back report shares no result, and the last one's trial
+    # counts differ, so entries are keyed by both counts; each distinct
+    # entry is written once, whichever pieces it recurs in.
+    flips = [Flip(float(t), (H, T)[t % 2]) for t in range(4)]
+    bet_list = [Bet(0.55 * (i + 1), (H, T)[i % 3 == 0]) for i in range(bets)]
+    report = analyze(make_trace(GameConfig(horizon=4.0), flips, bet_list),
+                     AnalysisOptions(randomization_trials=20, seed=4))
+    mixed = tuple(RandomizationResult(20 + i % 2, i % 3) for i in range(bets))
+    reports = [report, report_from_json(report_to_json(report)),
+               dataclasses.replace(report, randomization=mixed)]
+    write, written = report_module._randomization_json, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report_module, "_WRITE_ROWS", 3)
+        patch.setattr(report_module, "_randomization_json", lambda r: written.append(r) or write(r))
+        for r in reports:
+            written.clear()
+            assert "".join(_report_json(r)) == json.dumps(report_to_dict(r), indent=2)
+            assert len(written) == len(set(r.randomization))
+            assert "".join(_report_text(r)) == text_report(r)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_writing_a_randomized_report_peaks_below_a_bound_independent_of_its_entries(tmp_path, fmt):
+    # 2 x 10^5 entries over 50 distinct counts, one shared result per count
+    # as analyze shares them. A writer that builds the whole 16 MB json
+    # document peaks at about 32 MiB; keying and writing 4096 entries at a
+    # time peaks at about 0.95 MiB in either format.
+    shared = [RandomizationResult(100, changed) for changed in range(0, 100, 2)]
+    picks = np.random.default_rng(16).integers(0, len(shared), 200_000)
+    results = tuple(map(shared.__getitem__, picks.tolist()))
+    report = AnalysisReport(200_000, 10_000, 9_000, 100_000, 4_500, 0.0, 0.0, 0.5, 0.5, results)
+    pieces = _report_json(report) if fmt == "json" else _report_text(report)
+    path = tmp_path / f"report.{fmt}"
+    tracemalloc.start()
+    try:
+        with path.open("w", encoding="utf-8") as out:
+            out.writelines(pieces)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert path.stat().st_size > 12_000_000

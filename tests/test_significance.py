@@ -476,7 +476,8 @@ def test_derive_seed_equals_a_python_int_splitmix64(base_seed, index):
 class TestRandomizationResult:
     @pytest.mark.parametrize(
         "trials,changed",
-        [(True, 0), (10, True), (10.0, 2), (10, 2.5), ("10", 2), (0, 0), (10, 11), (10, -1)],
+        [(True, 0), (10, True), (10.0, 2), (10, 2.5), ("10", 2), (0, 0), (10, 11), (10, -1),
+         (2**63, 0)],
     )
     def test_counts_must_be_integers_in_range(self, trials, changed):
         with pytest.raises(DomainError):
