@@ -210,8 +210,8 @@ def _shown(value: object, enclosing: tuple = (), room: int = _SHOWN_LENGTH) -> s
     return text
 
 
-def _integer(value: object, name: str, lo: int | None = 0, hi: int | None = None) -> int:
-    """The integer rule: ``value`` as an int in ``[lo, hi]`` (``None``: unbounded).
+def _integer(value: object, name: str, lo: int = 0, hi: int | None = None) -> int:
+    """The integer rule: ``value`` as an int in ``[lo, hi]`` (``hi=None``: unbounded above).
 
     What ``operator.index`` accepts counts, numpy integers too, but never a
     bool: ``True`` as a count or a seed is a mistake, not the number 1.
@@ -222,9 +222,9 @@ def _integer(value: object, name: str, lo: int | None = 0, hi: int | None = None
         except TypeError:
             pass
         else:
-            if (lo is None or lo <= number) and (hi is None or number <= hi):
+            if lo <= number and (hi is None or number <= hi):
                 return number
-    bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    bounds = f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
     raise DomainError(f"{name} must be an integer{bounds}, got {_shown(value)}")
 
 

@@ -83,11 +83,7 @@ def pairwise_conditional_probability(
             raise DomainError(f"{_shown(bet)} does not belong to this grouping") from None
     if epochs[0] == epochs[1]:
         return 1.0 if bet_i.prediction is bet_j.prediction else 0.0
-    return _marginal(bet_j.prediction, coin_bias)
-
-
-def _marginal(face: Face, coin_bias: float) -> float:
-    return coin_bias if face is Face.HEADS else 1.0 - coin_bias
+    return coin_bias if bet_j.prediction is Face.HEADS else 1.0 - coin_bias
 
 
 def naive_compound_probability(trace: GameTrace) -> float:

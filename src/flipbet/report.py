@@ -331,11 +331,12 @@ def _same_width_block(block: bytes, times: np.ndarray, heads: np.ndarray) -> int
 
 
 def _is_header(line: bytes) -> bool:
-    """The per-row reader's header rule for a line 1 without quoting or
-    non-ASCII bytes: two fields, the first not a number."""
-    if not line.isascii():
+    """The per-row reader's header rule for a printable UTF-8 line 1 without
+    quoting, in any script: two fields, the first not a number."""
+    try:
+        text = line.decode()
+    except UnicodeDecodeError:
         return False
-    text = line.decode()
     if not text.isprintable() or '"' in text or text.count(",") != 1:
         return False
     try:
@@ -641,7 +642,7 @@ def _trace_json(trace: GameTrace) -> Iterator[str]:
     them as given.
     """
     config = trace.config
-    horizon, coin_bias, seed = map(json.dumps, (config.horizon, config.coin_bias, config.seed))
+    horizon, coin_bias, seed = _scalars([config.horizon, config.coin_bias, config.seed])
     yield (
         f'{{\n  "config": {{\n    "horizon": {horizon},\n    "coin_bias": {coin_bias},\n'
         f'    "seed": {seed}\n  }},\n  "flips": '
@@ -723,9 +724,7 @@ def _integral_rows(
             np.subtract(run, 10 * quotient, out=digits[:, j], casting="unsafe")
             run = quotient
         digits += ord("0")
-        field = np.dtype({"names": ["digits"], "formats": [f"V{width}"], "offsets": [len(head)],
-                          "itemsize": matrix.shape[1]})
-        matrix.view(field)["digits"] = digits.view(f"V{width}")
+        matrix[:, len(head) : len(head) + width] = digits
         offset += size
     return str(text, "ascii")  # decoded from the buffer, with no bytes copy
 

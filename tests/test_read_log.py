@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipbet import Bet, CsvFormatError, Face, Flip, load_bets, load_flips
@@ -300,13 +300,13 @@ OUTSIDE_SUBSET = {
     "exponent": "0,H\n1e3,T\n1,T\n",
     "leading-dot": "0,H\n.5,T\n1,T\n",
     "leading-dot-on-line-1": ".5,H\n1,T\n",
+    "arabic-indic-digit-on-line-1": "\u0661,H\n2.5,T\n1,T\n",  # float() reads it: a row
     "trailing-dot": "0,H\n5.,T\n1,T\n",
     "nan": "0,H\nnan,T\n1,T\n",
     "inf": "0,H\ninf,T\n1,T\n",
     "overflow": "0,H\n" + "9" * 400 + ",T\n1,T\n",
     "negative": "0,H\n-1,T\n1,T\n",
     "bom": "\ufefftime,prediction\n0,H\n2.5,T\n1,T\n",
-    "non-ascii-header": "zeit,münze\n0,H\n2.5,T\n1,T\n",
     "invalid-utf8": b"0,H\n2.5,T\xff\n1,T\n",
     "lone-cr": "0,H\r2.5,T\r1,T\r",
     "mixed-cr": "0,H\r\n2.5,T\r1,T\n",
@@ -335,18 +335,52 @@ def test_each_form_outside_the_subset_goes_to_the_per_row_reader(tmp_path, text)
     _check_against_reference(tmp_path, data)
 
 
-# Lowercase faces are in the subset, in a block of mixed widths and in one
-# of a single width.
-LOWERCASE_FACES = {
+# Forms once outside the subset and now in it: lowercase faces and a header
+# in any script, each in a block of mixed widths and in one of a single width.
+IN_SUBSET = {
     "lowercase-face": "0,H\n2.5,t\n1,T\n",
     "lowercase-same-width": "time,prediction\n10,h\n12,t\n11,T\n",
+    "non-ascii-header": "zeit,münze\n0,H\n2.5,T\n1,T\n",
+    "han-header-crlf": "时间,预测\r\n0,H\r\n2.5,T\r\n1,T\r\n",
+    "arabic-header-same-width": "الوقت,التنبؤ\n10,H\n12,T\n11,T\n",
 }
 
 
-@pytest.mark.parametrize("text", LOWERCASE_FACES.values(), ids=LOWERCASE_FACES)
-def test_lowercase_faces_take_the_fast_path_and_match_the_reference(tmp_path, text):
+@pytest.mark.parametrize("text", IN_SUBSET.values(), ids=IN_SUBSET)
+def test_each_form_in_the_subset_takes_the_fast_path_and_matches_the_reference(tmp_path, text):
     assert report._subset_columns(text.encode()) is not None
     _check_against_reference(tmp_path, text)
+
+
+# Any character, with those the header rule turns on drawn more often.
+line_1_texts = st.text(
+    st.one_of(st.characters(), st.sampled_from(',"\r 1.e\t\x00\xa0\u0661\ufeff\u2028'))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    line_1=st.one_of(line_1_texts, st.builds("{},{}".format, line_1_texts, line_1_texts)),
+    rows=st.lists(st.tuples(subset_times(), st.sampled_from("HTht")), max_size=10),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+@example(line_1='"1",h', rows=[("2", "T")], newline="\n")  # quoted: a row, not a header
+@example(line_1="a\rb,c", rows=[("2", "T")], newline="\n")  # a CR ends line 1 at "a"
+def test_any_line_1_read_by_the_subset_path_is_what_the_per_row_reader_reads(
+    tmp_path_factory, line_1, rows, newline
+):
+    # Line 1 in any script, then subset rows: whenever the subset path reads
+    # the log, it reads the per-row reader's times, faces and lines.
+    data = newline.join([line_1, *(f"{time},{face}" for time, face in rows)]).encode()
+    columns = report._subset_columns(data)
+    if columns is not None:
+        path = tmp_path_factory.mktemp("log") / "bets.csv"
+        path.write_bytes(data)
+        times, heads, lines = columns
+        expected_times, expected_heads, expected_lines = report._read_rows(path, data, "prediction")
+        assert times.view(np.uint64).tolist() == expected_times.view(np.uint64).tolist()
+        assert heads.tolist() == expected_heads.tolist()
+        assert list(lines) == expected_lines
 
 
 # A UTF-8 byte order mark is not part of line 1: a log reads the same with
@@ -396,7 +430,7 @@ def test_the_cli_counts_the_first_bet_after_a_byte_order_mark(tmp_path, capsys):
 # log of ``flipbet analyze``: the CLI accepts it or names the problem.
 CLI_LOGS = {
     **OUTSIDE_SUBSET,
-    "lowercase-face": LOWERCASE_FACES["lowercase-face"],
+    **IN_SUBSET,
     **{f"bad-row-{i}": "0,H\n" + ",".join(row) + "\n1,T\n" for i, row in enumerate(BAD_ROWS)},
 }
 
